@@ -194,11 +194,15 @@ func (c *Compiled) ExecuteStatsContext(ctx context.Context, opts Options) (*Resu
 	return res, run.OpStats(), nil
 }
 
-// drainRun materialises every row of a run; the caller owns Close.
+// drainRun materialises every row of a run, carving the rows out of
+// one flat arena per batch; the caller owns Close.
 func (c *Compiled) drainRun(run *Run) (*Result, error) {
 	res := &Result{d: c.eng.src.Dict(), Vars: append([]sparql.Var(nil), c.vars...)}
+	arena := rowArena{width: len(c.vars)}
 	for run.Next() {
-		res.Rows = append(res.Rows, append(Row(nil), run.Row()...))
+		row := arena.take(run.b.n - run.i) // a chunk per batch
+		copy(row, run.Row())
+		res.Rows = append(res.Rows, row)
 	}
 	if err := run.Err(); err != nil {
 		return nil, err
@@ -207,7 +211,7 @@ func (c *Compiled) drainRun(run *Run) (*Result, error) {
 }
 
 // runMaterialised drains one run into a Result. countsOnly collects
-// row counts without per-row timing, for the cardinality paths.
+// row counts without timing, for the cardinality paths.
 func (c *Compiled) runMaterialised(ctx context.Context, opts Options, countsOnly bool) (*Result, Metrics, error) {
 	run := c.runCtx(ctx, opts, countsOnly)
 	defer run.Close()

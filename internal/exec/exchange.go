@@ -11,7 +11,7 @@ import (
 // DefaultExchangeThreshold is the minimum base-scan row count (after
 // prefix restriction) at which a parallel run scatters a pipeline over
 // exchange workers. Below it the chain runs sequentially: worker
-// startup, row copying and gather reordering would cost more than one
+// startup, batch hand-over and gather reordering would cost more than one
 // core saves on so little input.
 const DefaultExchangeThreshold = 4096
 
@@ -19,9 +19,9 @@ const DefaultExchangeThreshold = 4096
 // pipeline chain: a positional scan over a MorselSource partitioned into
 // morsels, and the stage operators (filters, projections, hash-join
 // probes) every worker replays over its own morsels. The stages hold the
-// original compiled operators — workers instantiate fresh iterator state
-// per morsel from them, while hash tables are built once and shared
-// read-only across workers.
+// original compiled operators — each worker instantiates its own
+// operator state from them once and re-drains it morsel after morsel,
+// while hash tables are built once and shared read-only across workers.
 type scatterOp struct {
 	base   *morselScan
 	stages []physOp // bottom-up: stages[0] consumes the scan
@@ -40,18 +40,19 @@ type gatherOp struct {
 }
 
 func (o *gatherOp) logical() algebra.Node { return o.inner.logical() }
+func (o *gatherOp) slots() []int          { return o.inner.slots() }
 
-// stageFn instantiates one worker-side stage iterator over its input.
-type stageFn func(in iterator) iterator
+// stageFn instantiates one worker-side stage operator over its input.
+type stageFn func(in input) input
 
-func (o *gatherOp) open(rt *runEnv) iterator {
+func (o *gatherOp) open(rt *runEnv) input {
 	if rt.opts.Parallelism <= 1 {
 		return o.inner.open(rt)
 	}
 	s := o.scatter.base.s
-	prefix, ok, err := s.resolvePrefix(rt)
+	prefix, ok, err := resolveParams(rt, s.prefix, s.params)
 	if err != nil {
-		return rt.wrap(o.logical(), errIter{err})
+		return rt.in(o.logical(), stub{err})
 	}
 	lo, hi := 0, 0
 	if ok {
@@ -66,13 +67,10 @@ func (o *gatherOp) open(rt *runEnv) iterator {
 	}
 	stages, resolves, err := o.buildStages(rt)
 	if err != nil {
-		return rt.wrap(o.logical(), errIter{err})
+		return rt.in(o.logical(), stub{err})
 	}
 	nm := (hi - lo + morselRows - 1) / morselRows
-	workers := rt.opts.Parallelism
-	if workers > nm {
-		workers = nm
-	}
+	workers := min(rt.opts.Parallelism, nm)
 	st := &ExchangeStats{
 		Label:      s.s.Label(),
 		Workers:    workers,
@@ -80,12 +78,11 @@ func (o *gatherOp) open(rt *runEnv) iterator {
 		WorkerRows: make([]int64, workers),
 	}
 	rt.exchanges = append(rt.exchanges, st)
-	var scanM *OpMetrics
-	if m := rt.metric(s.s); m != nil {
-		m.Parallel = true
-		scanM = m
+	scanM := rt.metric(s.s)
+	if scanM != nil {
+		scanM.Parallel = true
 	}
-	g := &gatherIter{
+	return rt.in(o.logical(), &gather{
 		rt:       rt,
 		sc:       o.scatter,
 		lo:       lo,
@@ -96,12 +93,11 @@ func (o *gatherOp) open(rt *runEnv) iterator {
 		resolves: resolves,
 		scanM:    scanM,
 		st:       st,
-	}
-	return rt.wrap(o.logical(), g)
+	})
 }
 
 // buildStages lowers the chain's stage operators into per-worker
-// iterator constructors, resolving everything that must happen once per
+// operator constructors, resolving everything that must happen once per
 // run — parameter bindings, hash-table builds — on the open path.
 // Builds start asynchronously here and are shared across all workers
 // (memoBuild); the returned resolves block until every table is ready.
@@ -109,46 +105,35 @@ func (o *gatherOp) buildStages(rt *runEnv) ([]stageFn, []func() error, error) {
 	stages := make([]stageFn, len(o.scatter.stages))
 	var resolves []func() error
 	for i, op := range o.scatter.stages {
-		top := i == len(o.scatter.stages)-1
+		// Stage counters are shared across workers and only ever receive
+		// atomic row-count increments — timing would race. The chain
+		// root has none: the gather's own consumer counts its rows.
+		var m *OpMetrics
+		if i < len(o.scatter.stages)-1 {
+			if m = rt.metric(op.logical()); m != nil {
+				m.Parallel = true
+			}
+		}
 		switch op := op.(type) {
 		case *filterOp:
-			rTerm, rID, rInDict := op.rTerm, op.rID, op.rInDict
-			if op.rParam != "" {
-				b, ok := rt.bind(op.rParam)
-				if !ok {
-					return nil, nil, fmt.Errorf("%w $%s", ErrUnboundParam, op.rParam)
-				}
-				rTerm, rID, rInDict = b.term, b.id, b.inDict
+			proto, err := op.newFilter(rt, input{})
+			if err != nil {
+				return nil, nil, err
 			}
-			f, m := op, chainMetric(rt, op.f, top)
-			stages[i] = func(in iterator) iterator {
-				it := iterator(&filterIter{
-					in: in, d: f.d, op: f.op, slot: f.slot, rSlot: f.rSlot,
-					rTerm: rTerm, rID: rID, rInDict: rInDict,
-				})
-				return countRows(it, m)
+			stages[i] = func(in input) input {
+				f := *proto
+				f.in = in
+				return input{op: &f, rt: rt, m: m}
 			}
 		case *projectOp:
-			p, m := op, chainMetric(rt, op.n, top)
-			stages[i] = func(in iterator) iterator {
-				return countRows(&projectIter{in: in, slots: p.slots}, m)
-			}
+			stages[i] = func(in input) input { return input{op: op.newProject(in), rt: rt, m: m} }
 		case *hashJoinOp:
-			j, m := op, chainMetric(rt, op.n, top)
 			shared := memoBuild(asyncBuild(rt, op.openBuild(rt)))
 			resolves = append(resolves, func() error {
-				_, _, err := shared()
+				_, err := shared()
 				return err
 			})
-			stages[i] = func(in iterator) iterator {
-				var it iterator
-				if j.leftOuter {
-					it = &leftJoinIter{l: in, buildSide: shared, keys: j.keys, shared: j.shared}
-				} else {
-					it = &hashJoinIter{buildSide: shared, r: in, keys: j.keys, shared: j.shared}
-				}
-				return countRows(it, m)
-			}
+			stages[i] = func(in input) input { return input{op: op.newProbe(rt, shared, in), rt: rt, m: m} }
 		default:
 			return nil, nil, fmt.Errorf("exec: internal: %T cannot run inside an exchange", op)
 		}
@@ -156,66 +141,43 @@ func (o *gatherOp) buildStages(rt *runEnv) ([]stageFn, []func() error, error) {
 	return stages, resolves, nil
 }
 
-// chainMetric returns the analyze counter an in-chain stage feeds, nil
-// for the chain root (the gather's own wrapper counts it) and on
-// non-analyze runs. Stage counters are shared across workers and only
-// ever receive atomic row-count increments — per-row timing would race.
-func chainMetric(rt *runEnv, n algebra.Node, top bool) *OpMetrics {
-	if top {
-		return nil
-	}
-	m := rt.metric(n)
-	if m != nil {
-		m.Parallel = true
-	}
-	return m
-}
-
-// countRows adds the concurrency-safe (count-only) metrics wrapper.
-func countRows(it iterator, m *OpMetrics) iterator {
-	if m == nil {
-		return it
-	}
-	return &metricIter{in: it, m: m}
-}
-
 // memoBuild shares one build result across every worker sub-pipeline:
 // the underlying build runs once, concurrent callers block until it is
-// ready, and the resulting tables are immutable thereafter.
+// ready, and the resulting table is immutable thereafter.
 func memoBuild(f buildFn) buildFn {
 	var (
 		once sync.Once
-		t    rowTable
-		all  []Row
+		t    *buildTable
 		err  error
 	)
-	return func() (rowTable, []Row, error) {
-		once.Do(func() { t, all, err = f() })
-		return t, all, err
+	return func() (*buildTable, error) {
+		once.Do(func() { t, err = f() })
+		return t, err
 	}
 }
 
 // morselOut is one morsel's fully-processed output, sent from a worker
-// to the gather.
+// to the gather: whole batches, cloned off the worker's own.
 type morselOut struct {
-	idx  int
-	rows []Row
-	err  error
+	idx     int
+	batches []*batch
+	err     error
 }
 
-// gatherIter merges worker outputs back into one deterministic stream.
+// gather merges worker outputs back into one deterministic stream.
 //
 // Scheduling: workers claim morsels from a shared atomic cursor, run the
-// whole stage chain over each morsel, and deliver the buffered result.
+// whole stage chain over each morsel, and deliver the result's batches.
 // The gather releases results strictly in morsel-index order, holding
-// out-of-order arrivals in a pending map. A credit window of 2×workers
-// bounds the morsels in flight (buffered, pending or in the channel), so
-// gather memory stays proportional to workers × morsel output, not to
-// the input size. Workers take rt.sem only while computing a morsel —
-// never while blocked on a credit, a build, or a delivery — so exchanges
-// sharing the run's semaphore with morsel builds and sibling exchanges
-// cannot deadlock.
-type gatherIter struct {
+// out-of-order arrivals in a pending map, and recycles each batch to
+// the run's free list once its consumer has moved past it. A credit
+// window of 2×workers bounds the morsels in flight (buffered, pending
+// or in the channel), so gather memory stays proportional to workers ×
+// morsel output, not to the input size. Workers take rt.sem only while
+// computing a morsel — never while blocked on a credit, a build, or a
+// delivery — so exchanges sharing the run's semaphore with morsel builds
+// and sibling exchanges cannot deadlock.
+type gather struct {
 	rt       *runEnv
 	sc       *scatterOp
 	lo, hi   int
@@ -226,130 +188,106 @@ type gatherIter struct {
 	scanM    *OpMetrics
 	st       *ExchangeStats
 
-	started bool
-	cursor  int64
+	cursor  atomic.Int64
 	out     chan morselOut
 	credits chan struct{}
-	pending map[int][]Row
+	pending map[int][]*batch
 	nextIdx int
-	cur     []Row
-	ci      int
-	row     Row
-	err     error
+	queue   []*batch // the current morsel's batches not yet served
+	cur     *batch   // the batch the consumer is reading
 }
 
 // start resolves every shared hash-table build, then launches the
 // workers. It runs on the consumer goroutine, which holds no semaphore
 // slot — so the builds it waits on can use the run's full parallelism.
-func (g *gatherIter) start() {
-	g.started = true
+func (g *gather) start() error {
 	for _, res := range g.resolves {
 		if err := res(); err != nil {
-			g.err = err
 			g.rt.noteErr(err)
-			return
+			return err
 		}
 	}
 	window := 2 * g.workers
+	// Both channels hold one entry per credit: a worker can always
+	// deliver the morsel its credit paid for.
 	g.out = make(chan morselOut, window)
 	g.credits = make(chan struct{}, window)
 	for i := 0; i < window; i++ {
 		g.credits <- struct{}{}
 	}
-	g.pending = make(map[int][]Row, window)
+	g.pending = make(map[int][]*batch, window)
 	for w := 0; w < g.workers; w++ {
 		g.rt.wg.Add(1)
 		go g.worker(w)
 	}
+	return nil
 }
 
-func (g *gatherIter) worker(w int) {
+// worker instantiates the chain once — a scan it re-aims at each morsel
+// it claims, and the stages above it — and drains it per morsel.
+// Operators end a stream without latching, so the chain yields the next
+// morsel's rows as soon as the scan has a new range.
+func (g *gather) worker(w int) {
 	defer g.rt.wg.Done()
+	s := g.sc.base.s
+	sc := s.newScan(g.rt, nil, morselRows)
+	top := input{op: sc, rt: g.rt, m: g.scanM}
+	for _, stage := range g.stages {
+		top = stage(top)
+	}
 	for {
 		select {
 		case <-g.credits:
 		case <-g.rt.done:
 			return
 		}
-		i := int(atomic.AddInt64(&g.cursor, 1)) - 1
-		if i >= g.nm {
+		i := int(g.cursor.Add(1)) - 1
+		if i >= g.nm || !g.rt.acquire() {
 			return
 		}
-		if !g.rt.acquire() {
-			return
+		mLo := g.lo + i*morselRows
+		sc.in = g.sc.base.src.ScanSlice(s.s.Ordering, mLo, min(mLo+morselRows, g.hi))
+		m := morselOut{idx: i}
+		for {
+			var b *batch
+			b, m.err = top.next()
+			if b == nil {
+				break
+			}
+			m.batches = append(m.batches, g.rt.clone(b))
+			atomic.AddInt64(&g.st.WorkerRows[w], int64(b.n))
 		}
-		rows, err := g.runMorsel(i)
 		g.rt.release()
-		if err != nil {
-			g.rt.noteErr(err)
-		} else {
-			atomic.AddInt64(&g.st.WorkerRows[w], int64(len(rows)))
-		}
+		g.rt.noteErr(m.err)
 		select {
-		case g.out <- morselOut{idx: i, rows: rows, err: err}:
+		case g.out <- m:
 		case <-g.rt.done:
 			return
 		}
-		if err != nil {
+		if m.err != nil {
 			return
 		}
 	}
 }
 
-// runMorsel replays the whole stage chain over one morsel of the base
-// scan, buffering the output. Rows are copied out of the chain — stage
-// iterators reuse their row storage across Next calls. Cancellation is
-// polled every 1024 output rows, the worker-side pull point.
-func (g *gatherIter) runMorsel(i int) ([]Row, error) {
-	s := g.sc.base.s
-	mLo := g.lo + i*morselRows
-	mHi := mLo + morselRows
-	if mHi > g.hi {
-		mHi = g.hi
-	}
-	it := countRows(&scanIter{
-		in:        g.sc.base.src.ScanSlice(s.s.Ordering, mLo, mHi),
-		row:       make(Row, s.width),
-		slotOf:    s.slotOf,
-		checkSlot: s.checkSlot,
-	}, g.scanM)
-	for _, stage := range g.stages {
-		it = stage(it)
-	}
-	var rows []Row
-	n := 0
-	for it.Next() {
-		rows = append(rows, append(Row(nil), it.Row()...))
-		if n++; n&1023 == 0 && g.rt.cancelled() {
-			return nil, errClosed
+func (g *gather) next() (*batch, error) {
+	if g.out == nil { // first pull
+		if err := g.start(); err != nil {
+			return nil, err
 		}
 	}
-	return rows, it.Err()
-}
-
-func (g *gatherIter) Next() bool {
-	if g.err != nil {
-		return false
+	if g.cur != nil {
+		g.rt.recycle(g.cur)
+		g.cur = nil
 	}
-	if !g.started {
-		g.start()
-		if g.err != nil {
-			return false
-		}
-	}
-	for {
-		if g.ci < len(g.cur) {
-			g.row = g.cur[g.ci]
-			g.ci++
-			return true
-		}
+	for len(g.queue) == 0 {
 		if g.nextIdx >= g.nm {
-			return false
+			return nil, nil
 		}
-		if rows, ok := g.pending[g.nextIdx]; ok {
+		if bs, ok := g.pending[g.nextIdx]; ok {
 			delete(g.pending, g.nextIdx)
 			g.nextIdx++
-			g.cur, g.ci = rows, 0
+			g.queue = bs
 			// Hand the consumed morsel's credit back so a worker can
 			// claim the next one. Token conservation keeps the channel
 			// under capacity; the default arm is a safety net only.
@@ -362,19 +300,16 @@ func (g *gatherIter) Next() bool {
 		select {
 		case m := <-g.out:
 			if m.err != nil {
-				g.err = m.err
-				return false
+				return nil, m.err
 			}
-			g.pending[m.idx] = m.rows
+			g.pending[m.idx] = m.batches
 		case <-g.rt.done:
-			g.err = errClosed
-			return false
+			return nil, errClosed
 		}
 	}
+	g.cur, g.queue = g.queue[0], g.queue[1:]
+	return g.cur, nil
 }
-
-func (g *gatherIter) Row() Row   { return g.row }
-func (g *gatherIter) Err() error { return g.err }
 
 // ExchangeStats reports one exchange's scatter/gather execution: how
 // many workers ran, how many morsels the base scan split into, and the

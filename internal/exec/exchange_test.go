@@ -154,8 +154,9 @@ func TestExchangeThresholdGate(t *testing.T) {
 // errBuildOp stands in for a build side that fails immediately.
 type errBuildOp struct{ err error }
 
-func (o *errBuildOp) open(rt *runEnv) iterator { return errIter{o.err} }
-func (o *errBuildOp) logical() algebra.Node    { return nil }
+func (o *errBuildOp) open(rt *runEnv) input { return input{op: stub{o.err}, rt: rt} }
+func (o *errBuildOp) logical() algebra.Node { return nil }
+func (o *errBuildOp) slots() []int          { return nil }
 
 // TestCloseReportsWorkerErrorUnpulled is the regression test for the
 // pre-pull error path: on a parallel run the hash-join build fails in a

@@ -13,9 +13,9 @@ import (
 type OpMetrics struct {
 	// Rows is the number of rows the operator emitted.
 	Rows int64
-	// Wall is the cumulative wall time spent inside the operator's
-	// Next calls, children included (parallel build-side work is
-	// accounted to the join's BuildWall instead).
+	// Wall is the cumulative wall time spent producing the operator's
+	// batches, children included, clocked once per batch (parallel
+	// build-side work is accounted to the join's BuildWall instead).
 	Wall time.Duration
 	// Build is the number of rows materialised on a join's build side
 	// (hash table or cross-product buffer); zero for streaming operators.
@@ -79,7 +79,8 @@ type OpStat struct {
 	Op string
 	// Rows is the number of rows the operator emitted.
 	Rows int64
-	// Wall is the cumulative wall time inside the operator's Next calls.
+	// Wall is the cumulative wall time spent producing the operator's
+	// batches.
 	Wall time.Duration
 	// Build and BuildWall report a join's build side (rows materialised,
 	// build wall time); Parallel marks a morsel-parallel build.
@@ -151,32 +152,3 @@ func opStatOf(label string, m *OpMetrics) OpStat {
 		SpilledBytes: m.SpilledBytes,
 	}
 }
-
-// metricIter wraps an operator's output, counting rows and — when
-// timed — timing Next calls. Timing only runs in full analyze mode;
-// the cardinality-annotation path counts without touching the clock.
-type metricIter struct {
-	in    iterator
-	m     *OpMetrics
-	timed bool
-}
-
-func (c *metricIter) Next() bool {
-	if !c.timed {
-		if c.in.Next() {
-			atomic.AddInt64(&c.m.Rows, 1)
-			return true
-		}
-		return false
-	}
-	start := time.Now()
-	ok := c.in.Next()
-	c.m.Wall += time.Since(start)
-	if ok {
-		atomic.AddInt64(&c.m.Rows, 1)
-	}
-	return ok
-}
-
-func (c *metricIter) Row() Row   { return c.in.Row() }
-func (c *metricIter) Err() error { return c.in.Err() }

@@ -12,15 +12,16 @@ import (
 // Morsel-driven parallelism (Leis et al.): a hash-join build side that
 // is a plain scan over a positional source is split into fixed-size
 // morsels of the sorted relation; workers claim morsels via an atomic
-// cursor, extract and hash-partition rows independently, and the
-// partitions are assembled into a sharded table, one shard per worker
-// in a second phase. Both phases visit morsels in index order per
-// shard, so the table contents — and therefore join output — are
-// byte-for-byte deterministic regardless of scheduling.
+// cursor and scan each straight into its own chunk of the build table's
+// columnar arena. Morsel i is chunk i whichever worker scans it and the
+// hash chains list rows in ascending order, so the table — and
+// therefore join output — is byte-for-byte deterministic regardless of
+// scheduling.
 
 const (
 	// morselRows is the number of relation rows one worker claims at a
 	// time: large enough to amortise claiming, small enough to balance.
+	// It is also the batch capacity of every operator.
 	morselRows = 8192
 	// minParallelRows is the build size below which partitioning costs
 	// more than it saves; smaller builds run sequentially.
@@ -40,213 +41,71 @@ type MorselSource interface {
 	ScanSlice(o store.Ordering, lo, hi int) TripleIter
 }
 
-// morselScan describes a partitionable build-side scan.
+// morselScan describes a partitionable build-side scan: one without
+// repeated-variable checks, so every morsel fills its arena chunk.
 type morselScan struct {
 	s   *scanOp
 	src MorselSource
 }
 
-// keyedRow carries a build row with its precomputed join key.
-type keyedRow struct {
-	k string
-	r Row
-}
-
-// shardedTable is the parallel-built rowTable: rows are distributed
-// over power-of-two shards by key hash; probes address exactly one
-// shard.
-type shardedTable struct {
-	shards []mapTable
-	mask   uint32
-}
-
-func (t *shardedTable) lookup(k string) []Row {
-	return t.shards[fnv32(k)&t.mask][k]
-}
-
-func (t *shardedTable) size() int {
-	n := 0
-	for _, s := range t.shards {
-		n += s.size()
-	}
-	return n
-}
-
-// fnv32 is FNV-1a over the key bytes, the shard selector.
-func fnv32(s string) uint32 {
-	h := uint32(2166136261)
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
-// shardCountFor picks a power-of-two shard count with headroom over the
-// worker count, so phase 2 balances even with skewed keys.
-func shardCountFor(workers int) uint32 {
-	n := uint32(1)
-	for n < uint32(4*workers) {
-		n <<= 1
-	}
-	if n > 256 {
-		n = 256
-	}
-	return n
-}
-
-// parallelBuild returns the build function running the two-phase
-// partitioned build. keys is nil for key-less builds (cross products
-// and disconnected OPTIONALs), which gather rows in morsel order
-// instead of building a table. sm, when non-nil, receives the scan's
-// observed row count and wall time (the scan's own iterator is
-// bypassed, so its metricIter never sees these rows).
+// parallelBuild returns the build function running the partitioned
+// build. keys is nil for key-less builds (cross products and
+// disconnected OPTIONALs). sm, when non-nil, receives the scan's
+// observed row count and wall time (the build bypasses the scan's own
+// input handle, so nothing else counts these rows).
 func (ms *morselScan) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) buildFn {
-	return func() (rowTable, []Row, error) {
+	return func() (*buildTable, error) {
 		start := time.Now()
-		prefix, ok, err := ms.s.resolvePrefix(rt)
+		s, o := ms.s, ms.s.s.Ordering
+		prefix, ok, err := resolveParams(rt, s.prefix, s.params)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		if !ok {
-			// A bound term absent from the data: the build side is empty.
-			return seqBuild(emptyIter{}, keys)()
+		lo, hi := 0, 0
+		if ok { // else a bound term is absent from the data: the build side is empty
+			lo, hi = ms.src.ScanRange(o, prefix)
 		}
-		lo, hi := ms.src.ScanRange(ms.s.s.Ordering, prefix)
 		if hi-lo < minParallelRows {
 			// Too small to be worth partitioning.
-			t, all, err := seqBuild(ms.seqIter(rt, lo, hi, sm), keys)()
-			return t, all, err
+			var op operator = stub{}
+			if hi > lo {
+				op = s.newScan(rt, ms.src.ScanSlice(o, lo, hi), hi-lo)
+			}
+			return seqBuild(input{op: op, rt: rt, m: sm}, s.bound, keys)()
 		}
-		workers := rt.opts.Parallelism
 		nm := (hi - lo + morselRows - 1) / morselRows
-		if workers > nm {
-			workers = nm
-		}
-		nShards := shardCountFor(workers)
-
-		// Phase 1: workers claim morsels and extract rows, partitioned
-		// by key hash (or flat for key-less builds).
-		perMorsel := make([][][]keyedRow, nm)
-		flat := make([][]Row, nm)
-		var cursor int64
-		var rows int64
+		t := &buildTable{chunks: make([]*batch, nm), n: hi - lo, keys: keys}
+		var cursor atomic.Int64
 		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
+		for w := min(rt.opts.Parallelism, nm); w > 0; w-- {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for {
-					if !rt.acquire() {
-						return // run closed
-					}
-					i := int(atomic.AddInt64(&cursor, 1)) - 1
+				for rt.acquire() {
+					i := int(cursor.Add(1)) - 1
 					if i >= nm {
 						rt.release()
 						return
 					}
+					// Morsel i is arena chunk i.
 					mLo := lo + i*morselRows
-					mHi := mLo + morselRows
-					if mHi > hi {
-						mHi = hi
-					}
-					it := &scanIter{
-						in:        ms.src.ScanSlice(ms.s.s.Ordering, mLo, mHi),
-						row:       make(Row, ms.s.width),
-						slotOf:    ms.s.slotOf,
-						checkSlot: ms.s.checkSlot,
-					}
-					n := int64(0)
-					if keys == nil {
-						var out []Row
-						for it.Next() {
-							out = append(out, append(Row(nil), it.Row()...))
-						}
-						flat[i] = out
-						n = int64(len(out))
-					} else {
-						buckets := make([][]keyedRow, nShards)
-						for it.Next() {
-							r := append(Row(nil), it.Row()...)
-							k := hashKey(r, keys)
-							s := fnv32(k) & (nShards - 1)
-							buckets[s] = append(buckets[s], keyedRow{k: k, r: r})
-						}
-						perMorsel[i] = buckets
-						for _, b := range buckets {
-							n += int64(len(b))
-						}
-					}
-					atomic.AddInt64(&rows, n)
+					mHi := min(mLo+morselRows, hi)
+					t.chunks[i] = rt.newBatch(s.width, s.bound, morselRows)
+					sc := scan{in: ms.src.ScanSlice(o, mLo, mHi), out: t.chunks[i], slotOf: s.slotOf, checkSlot: s.checkSlot}
+					sc.fill(mHi - mLo)
 					rt.release()
 				}
 			}()
 		}
 		wg.Wait()
 		if rt.cancelled() {
-			return nil, nil, errClosed
+			return nil, errClosed
 		}
 		if sm != nil {
-			atomic.AddInt64(&sm.Rows, atomic.LoadInt64(&rows))
+			atomic.AddInt64(&sm.Rows, int64(t.n))
 			sm.Wall += time.Since(start)
 			sm.Parallel = true
 		}
-		if keys == nil {
-			var all []Row
-			for _, f := range flat {
-				all = append(all, f...)
-			}
-			return nil, all, nil
-		}
-
-		// Phase 2: one worker per shard inserts that shard's rows,
-		// morsel by morsel in index order, into its private map.
-		t := &shardedTable{shards: make([]mapTable, nShards), mask: nShards - 1}
-		var shardCursor int64
-		wg = sync.WaitGroup{}
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					if !rt.acquire() {
-						return // run closed
-					}
-					s := int(atomic.AddInt64(&shardCursor, 1)) - 1
-					if s >= int(nShards) {
-						rt.release()
-						return
-					}
-					m := make(mapTable)
-					for i := 0; i < nm; i++ {
-						for _, kr := range perMorsel[i][s] {
-							m[kr.k] = append(m[kr.k], kr.r)
-						}
-					}
-					t.shards[s] = m
-					rt.release()
-				}
-			}()
-		}
-		wg.Wait()
-		if rt.cancelled() {
-			return nil, nil, errClosed
-		}
-		return t, nil, nil
+		return t, t.index()
 	}
-}
-
-// seqIter opens a plain sequential iterator over a sub-range, with the
-// scan's analyze instrumentation when active.
-func (ms *morselScan) seqIter(rt *runEnv, lo, hi int, sm *OpMetrics) iterator {
-	it := iterator(&scanIter{
-		in:        ms.src.ScanSlice(ms.s.s.Ordering, lo, hi),
-		row:       make(Row, ms.s.width),
-		slotOf:    ms.s.slotOf,
-		checkSlot: ms.s.checkSlot,
-	})
-	if sm != nil {
-		it = &metricIter{in: it, m: sm}
-	}
-	return it
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -102,35 +103,28 @@ func (c *Compiled) ResolveTerm(t rdf.Term) ResolvedBind {
 // names the missing placeholder.
 var ErrUnboundParam = errors.New("exec: unbound parameter")
 
-// boundParam is one resolved binding: the term and its dictionary ID
-// (inDict false when the term does not occur in the data — scans with
-// it in their prefix then match nothing, which is the correct multiset
-// semantics, while filters still compare the term's text).
-type boundParam struct {
-	term   rdf.Term
-	id     dict.ID
-	inDict bool
-}
-
 // errClosed aborts in-flight work when a run is closed early.
 var errClosed = errors.New("exec: run closed")
 
 // physOp is a physical operator: an immutable compile-time description
-// that instantiates fresh iterator state for every run.
+// that instantiates fresh operator state for every run.
 type physOp interface {
-	// open builds this run's iterator tree. It is called once per run,
-	// from a single goroutine.
-	open(rt *runEnv) iterator
+	// open builds this run's operator tree and returns the consumer's
+	// handle on it. It is called once per run, from a single goroutine.
+	open(rt *runEnv) input
 	// logical returns the algebra node the operator implements, the key
 	// for explain annotations (nil for synthesized operators).
 	logical() algebra.Node
+	// slots lists, ascending, the slots the operator's output may bind:
+	// the non-nil columns of its batches.
+	slots() []int
 }
 
 // runEnv is the per-run execution context shared by all operators:
 // cancellation, worker accounting, and the metrics registry.
 type runEnv struct {
 	opts Options
-	// countsOnly collects row counts without per-row timing (the
+	// countsOnly collects row counts without timing (the
 	// cardinality-annotation path, where clock reads would dominate).
 	countsOnly bool
 	metrics    Metrics
@@ -141,8 +135,8 @@ type runEnv struct {
 	done chan struct{}
 	wg   sync.WaitGroup
 	once sync.Once
-	// hasCtx marks runs bound to a cancellable context; their operator
-	// outputs are wrapped with periodic cancellation checks.
+	// hasCtx marks runs bound to a cancellable context, polled at every
+	// batch pull.
 	hasCtx bool
 	// ctx is the caller context of a context-bound run, consulted at
 	// pull points so cancellation is observed deterministically even
@@ -162,13 +156,11 @@ type runEnv struct {
 	// sort is synthesized above the plan root, so it has no algebra
 	// node to key the metrics map with).
 	sortM *OpMetrics
-	// binds are the run's resolved parameter bindings: Options.Binds
-	// looked up in the dictionary once, consulted by scans and filters
-	// holding placeholder slots when they open. resolved carries
-	// Options.Resolved verbatim instead — the batched path skips even
-	// the per-run conversion map; at most one of the two is non-nil.
-	binds    map[string]boundParam
-	resolved ResolvedBinds
+	// binds are the run's parameter bindings, resolved against the
+	// dictionary once (Options.Resolved verbatim, or Options.Binds looked
+	// up at run start), consulted by scans and filters holding
+	// placeholder slots when they open.
+	binds ResolvedBinds
 	// epoch is the dataset epoch of the snapshot the run is pinned to —
 	// the compiled plan's engine epoch, fixed for the run's whole
 	// lifetime however many commits land meanwhile.
@@ -182,6 +174,12 @@ type runEnv struct {
 	// when the consumer never pulls the row that would surface it.
 	workerErr atomic.Value
 	errOnce   sync.Once
+	// owned is every batch the run took from the shared pool, handed
+	// back at shutdown; free holds the ones recycled mid-run (consumed
+	// exchange morsels) for the run's next newBatch. mu guards both —
+	// exchange workers take batches too.
+	mu          sync.Mutex
+	owned, free []*batch
 }
 
 // noteErr records the first real error a background worker hit and
@@ -193,29 +191,6 @@ func (rt *runEnv) noteErr(err error) {
 	}
 	rt.errOnce.Do(func() { rt.workerErr.Store(err) })
 	rt.cancel(err)
-}
-
-// bind returns the resolved binding of a placeholder. The run
-// constructor validates that every placeholder of the plan is bound, so
-// a miss here is a programming error surfaced as an erroring iterator.
-func (rt *runEnv) bind(name string) (boundParam, bool) {
-	if rt.binds != nil {
-		b, ok := rt.binds[name]
-		return b, ok
-	}
-	b, ok := rt.resolved[name]
-	return boundParam{term: b.Term, id: b.ID, inDict: b.InDict}, ok
-}
-
-// hasBind reports whether a placeholder is covered by the run's
-// bindings, whichever form they arrived in.
-func (rt *runEnv) hasBind(name string) bool {
-	if rt.binds != nil {
-		_, ok := rt.binds[name]
-		return ok
-	}
-	_, ok := rt.resolved[name]
-	return ok
 }
 
 // addCleanup registers a resource-release hook run once at shutdown.
@@ -232,14 +207,6 @@ func (rt *runEnv) cancel(err error) {
 		}
 		close(rt.done)
 	})
-}
-
-// cancelCause returns the context error that aborted the run, if any.
-func (rt *runEnv) cancelCause() error {
-	if e, ok := rt.cause.Load().(error); ok {
-		return e
-	}
-	return nil
 }
 
 // acquire takes a worker slot, failing fast on cancellation.
@@ -277,7 +244,8 @@ func (rt *runEnv) cancelled() bool {
 
 // shutdown cancels outstanding workers and waits for them to exit, so
 // a closed run never leaks goroutines; registered cleanups then release
-// external resources (spilled sort runs) exactly once.
+// external resources (spilled sort runs) exactly once, and the run's
+// batches go back to the shared pool.
 func (rt *runEnv) shutdown() {
 	rt.cancel(nil)
 	rt.wg.Wait()
@@ -285,6 +253,7 @@ func (rt *runEnv) shutdown() {
 		for _, f := range rt.cleanups {
 			f()
 		}
+		rt.releaseBatches()
 	})
 }
 
@@ -302,53 +271,11 @@ func (rt *runEnv) metric(n algebra.Node) *OpMetrics {
 	return m
 }
 
-// wrap adds the analyze instrumentation around an operator's output,
-// plus — for context-bound runs — a periodic cancellation check, so a
-// fired deadline aborts the pipeline at every operator pull point even
-// when the consumer is stuck inside one long Next (a selective filter
-// skipping rows, a hash-join build drain).
-func (rt *runEnv) wrap(n algebra.Node, it iterator) iterator {
-	if rt.hasCtx {
-		it = &cancelIter{in: it, done: rt.done}
-	}
+// in returns the consumer's handle on an operator: the operator plus,
+// on analyze runs, the counters of the node it implements.
+func (rt *runEnv) in(n algebra.Node, op operator) input {
 	m := rt.metric(n)
-	if m == nil {
-		return it
-	}
-	return &metricIter{in: it, m: m, timed: !rt.countsOnly}
-}
-
-// cancelIter aborts a long drain shortly after its run is closed, so
-// Close does not have to wait for an abandoned build to finish.
-type cancelIter struct {
-	in   iterator
-	done <-chan struct{}
-	n    int
-	err  error
-}
-
-func (c *cancelIter) Next() bool {
-	if c.err != nil {
-		return false
-	}
-	if c.n++; c.n&1023 == 0 {
-		select {
-		case <-c.done:
-			c.err = errClosed
-			return false
-		default:
-		}
-	}
-	return c.in.Next()
-}
-
-func (c *cancelIter) Row() Row { return c.in.Row() }
-
-func (c *cancelIter) Err() error {
-	if c.err != nil {
-		return c.err
-	}
-	return c.in.Err()
+	return input{op: op, rt: rt, m: m, timed: m != nil && !rt.countsOnly}
 }
 
 // --- physical operators ---
@@ -356,8 +283,9 @@ func (c *cancelIter) Err() error {
 // emptyOp yields nothing (a scan whose constant is absent).
 type emptyOp struct{ n algebra.Node }
 
-func (o *emptyOp) open(rt *runEnv) iterator { return rt.wrap(o.n, emptyIter{}) }
-func (o *emptyOp) logical() algebra.Node    { return o.n }
+func (o *emptyOp) open(rt *runEnv) input { return rt.in(o.n, stub{}) }
+func (o *emptyOp) logical() algebra.Node { return o.n }
+func (o *emptyOp) slots() []int          { return nil }
 
 // prefixParam marks one placeholder slot of a scan's constant prefix:
 // prefix[idx] is substituted with the binding of the named parameter
@@ -366,13 +294,6 @@ type prefixParam struct {
 	idx  int
 	name string
 }
-
-// errIter carries an open-time error into the pull protocol.
-type errIter struct{ err error }
-
-func (e errIter) Next() bool { return false }
-func (e errIter) Row() Row   { return nil }
-func (e errIter) Err() error { return e.err }
 
 // scanOp evaluates one triple pattern over an access path. Constant
 // prefix positions are resolved to dictionary IDs at compile time;
@@ -384,6 +305,7 @@ type scanOp struct {
 	prefix    []dict.ID
 	params    []prefixParam
 	width     int
+	bound     []int
 	slotOf    []int
 	checkSlot []int
 }
@@ -399,46 +321,41 @@ func resolveParams(rt *runEnv, prefix []dict.ID, params []prefixParam) ([]dict.I
 	}
 	out := append([]dict.ID(nil), prefix...)
 	for _, p := range params {
-		b, ok := rt.bind(p.name)
+		b, ok := rt.binds[p.name]
 		if !ok {
 			return nil, false, fmt.Errorf("%w $%s", ErrUnboundParam, p.name)
 		}
-		if !b.inDict {
+		if !b.InDict {
 			return nil, false, nil
 		}
-		out[p.idx] = b.id
+		out[p.idx] = b.ID
 	}
 	return out, true, nil
 }
 
-// resolvePrefix resolves this scan's prefix under the run's bindings.
-func (o *scanOp) resolvePrefix(rt *runEnv) ([]dict.ID, bool, error) {
-	return resolveParams(rt, o.prefix, o.params)
+func (o *scanOp) open(rt *runEnv) input {
+	prefix, ok, err := resolveParams(rt, o.prefix, o.params)
+	if err != nil || !ok {
+		return rt.in(o.s, stub{err})
+	}
+	// The scan's size is known up front, so its batch is no larger: a
+	// point lookup takes, and touches, a few rows of columns.
+	rows := o.src.Count(o.s.Ordering, prefix)
+	if rows == 0 {
+		return rt.in(o.s, stub{})
+	}
+	return rt.in(o.s, o.newScan(rt, o.src.Scan(o.s.Ordering, prefix), rows))
 }
 
-func (o *scanOp) open(rt *runEnv) iterator {
-	return rt.wrap(o.s, o.openRaw(rt))
-}
-
-// openRaw builds the bare scan iterator (morsel workers use it without
-// per-row instrumentation).
-func (o *scanOp) openRaw(rt *runEnv) iterator {
-	prefix, ok, err := o.resolvePrefix(rt)
-	if err != nil {
-		return errIter{err}
-	}
-	if !ok {
-		return emptyIter{}
-	}
-	return &scanIter{
-		in:        o.src.Scan(o.s.Ordering, prefix),
-		row:       make(Row, o.width),
-		slotOf:    o.slotOf,
-		checkSlot: o.checkSlot,
-	}
+// newScan instantiates the scan operator over a triple stream of at
+// most rows triples.
+func (o *scanOp) newScan(rt *runEnv, in TripleIter, rows int) *scan {
+	rows = min(rows, batchRows)
+	return &scan{in: in, out: rt.newBatch(o.width, o.bound, rows), capacity: rows, slotOf: o.slotOf, checkSlot: o.checkSlot}
 }
 
 func (o *scanOp) logical() algebra.Node { return o.s }
+func (o *scanOp) slots() []int          { return o.bound }
 
 // aggScanOp evaluates a pattern over the aggregated pair index.
 // Placeholder prefix positions resolve from the run's bindings like
@@ -449,56 +366,64 @@ type aggScanOp struct {
 	prefix []dict.ID
 	params []prefixParam
 	width  int
+	bound  []int
 	slotOf [2]int
 }
 
-func (o *aggScanOp) open(rt *runEnv) iterator {
+func (o *aggScanOp) open(rt *runEnv) input {
 	prefix, ok, err := resolveParams(rt, o.prefix, o.params)
-	if err != nil {
-		return rt.wrap(o.s, errIter{err})
+	if err != nil || !ok {
+		return rt.in(o.s, stub{err})
 	}
-	if !ok {
-		return rt.wrap(o.s, emptyIter{})
+	rows := min(o.agg.Count(o.s.Ordering, prefix), batchRows)
+	if rows == 0 {
+		return rt.in(o.s, stub{})
 	}
-	return rt.wrap(o.s, &aggScanIter{
-		in:     o.agg.ScanPairs(o.s.Ordering, prefix),
-		row:    make(Row, o.width),
-		slotOf: o.slotOf,
+	return rt.in(o.s, &aggScan{
+		in:       o.agg.ScanPairs(o.s.Ordering, prefix),
+		out:      rt.newBatch(o.width, o.bound, rows),
+		capacity: rows,
+		slotOf:   o.slotOf,
 	})
 }
 
 func (o *aggScanOp) logical() algebra.Node { return o.s }
+func (o *aggScanOp) slots() []int          { return o.bound }
 
 // mergeJoinOp joins two inputs sorted on the same variable.
 type mergeJoinOp struct {
-	j      *algebra.Join
-	l, r   physOp
-	slot   int
-	shared []int
+	j     *algebra.Join
+	l, r  physOp
+	slot  int
+	jc    *joinCols
+	width int
 }
 
-func (o *mergeJoinOp) open(rt *runEnv) iterator {
-	it := &mergeJoinIter{
-		l:      &orderCheck{in: o.l.open(rt), slot: o.slot, desc: "merge join left input"},
-		r:      &orderCheck{in: o.r.open(rt), slot: o.slot, desc: "merge join right input"},
+func (o *mergeJoinOp) open(rt *runEnv) input {
+	return rt.in(o.j, &mergeJoin{
+		rt:     rt,
+		l:      mergeSide{input: o.l.open(rt), desc: "merge join left input"},
+		r:      mergeSide{input: o.r.open(rt), desc: "merge join right input"},
 		slot:   o.slot,
-		shared: o.shared,
-	}
-	return rt.wrap(o.j, it)
+		jc:     o.jc,
+		width:  o.width,
+		rslots: o.r.slots(),
+	})
 }
 
 func (o *mergeJoinOp) logical() algebra.Node { return o.j }
+func (o *mergeJoinOp) slots() []int          { return o.jc.out }
 
 // hashJoinOp hashes its build input and streams the probe input,
 // preserving probe order. It implements inner hash joins, Cartesian
 // products (no keys) and left outer joins (OPTIONAL).
 type hashJoinOp struct {
 	n         algebra.Node
-	build     physOp // hashed side (left for joins, right for OPTIONAL)
-	probe     physOp // streamed side
-	keys      []int  // nil: key-less (cross product / disconnected OPTIONAL)
-	shared    []int
-	cross     bool // Cartesian product
+	build     physOp    // hashed side (left for joins, right for OPTIONAL)
+	probe     physOp    // streamed side
+	keys      []int     // nil: key-less (cross product / disconnected OPTIONAL)
+	jc        *joinCols // a: build side, b: probe side
+	width     int
 	leftOuter bool // OPTIONAL semantics
 	// morsel is the partitioned-scan description of the build side, set
 	// when it is a plain scan over a morsel-capable source; parallel
@@ -506,18 +431,18 @@ type hashJoinOp struct {
 	morsel *morselScan
 }
 
-func (o *hashJoinOp) open(rt *runEnv) iterator {
+func (o *hashJoinOp) open(rt *runEnv) input {
 	bf := o.openBuild(rt)
 	if rt.opts.Parallelism > 1 {
 		bf = asyncBuild(rt, bf)
 	}
-	var it iterator
-	if o.leftOuter {
-		it = &leftJoinIter{l: o.probe.open(rt), buildSide: bf, keys: o.keys, shared: o.shared}
-	} else {
-		it = &hashJoinIter{buildSide: bf, r: o.probe.open(rt), keys: o.keys, shared: o.shared, cross: o.cross}
-	}
-	return rt.wrap(o.n, it)
+	return rt.in(o.n, o.newProbe(rt, bf, o.probe.open(rt)))
+}
+
+// newProbe instantiates the probe operator over a build function and a
+// probe input.
+func (o *hashJoinOp) newProbe(rt *runEnv, bf buildFn, probe input) *hashJoin {
+	return &hashJoin{rt: rt, build: bf, probe: probe, keys: o.keys, jc: o.jc, width: o.width, leftOuter: o.leftOuter}
 }
 
 // openBuild assembles the build function: morsel-partitioned when the
@@ -530,64 +455,56 @@ func (o *hashJoinOp) openBuild(rt *runEnv) buildFn {
 	if parallel {
 		inner = o.morsel.parallelBuild(rt, o.keys, rt.metric(o.morsel.s.s))
 	} else {
-		in := o.build.open(rt)
-		if rt.opts.Parallelism > 1 {
-			in = &cancelIter{in: in, done: rt.done}
-		}
-		inner = seqBuild(in, o.keys)
+		inner = seqBuild(o.build.open(rt), o.build.slots(), o.keys)
 	}
 	m := rt.metric(o.n)
 	if m == nil {
 		return inner
 	}
-	return func() (rowTable, []Row, error) {
+	return func() (*buildTable, error) {
 		start := time.Now()
-		t, all, err := inner()
+		t, err := inner()
 		m.BuildWall = time.Since(start)
 		if t != nil {
-			atomic.StoreInt64(&m.Build, int64(t.size()))
-		} else {
-			atomic.StoreInt64(&m.Build, int64(len(all)))
+			atomic.StoreInt64(&m.Build, int64(t.n))
 		}
 		if parallel {
 			m.Parallel = true
 		}
-		return t, all, err
+		return t, err
 	}
 }
 
 func (o *hashJoinOp) logical() algebra.Node { return o.n }
-
-// buildResult carries an asynchronous build side to its consumer.
-type buildResult struct {
-	table rowTable
-	all   []Row
-	err   error
-}
+func (o *hashJoinOp) slots() []int          { return o.jc.out }
 
 // asyncBuild starts the build in a background goroutine at open time,
 // so the build sides of independent joins (and the compile of the probe
 // side) overlap. The result channel is buffered: the builder can always
-// deliver and exit, even when the run is closed before the first Next.
+// deliver and exit, even when the run is closed before the first pull.
 func asyncBuild(rt *runEnv, f buildFn) buildFn {
-	ch := make(chan buildResult, 1)
+	type result struct {
+		t   *buildTable
+		err error
+	}
+	ch := make(chan result, 1)
 	rt.wg.Add(1)
 	go func() {
 		defer rt.wg.Done()
-		t, all, err := f()
+		t, err := f()
 		if err != nil {
 			// Record before delivering: the error must reach Err even
 			// when the consumer closes the run without ever pulling.
 			rt.noteErr(err)
 		}
-		ch <- buildResult{t, all, err}
+		ch <- result{t, err}
 	}()
-	return func() (rowTable, []Row, error) {
+	return func() (*buildTable, error) {
 		select {
 		case res := <-ch:
-			return res.table, res.all, res.err
+			return res.t, res.err
 		case <-rt.done:
-			return nil, nil, errClosed
+			return nil, errClosed
 		}
 	}
 }
@@ -608,42 +525,49 @@ type filterOp struct {
 	rInDict bool
 }
 
-func (o *filterOp) open(rt *runEnv) iterator {
-	rTerm, rID, rInDict := o.rTerm, o.rID, o.rInDict
-	if o.rParam != "" {
-		b, ok := rt.bind(o.rParam)
-		if !ok {
-			return rt.wrap(o.f, errIter{fmt.Errorf("%w $%s", ErrUnboundParam, o.rParam)})
-		}
-		rTerm, rID, rInDict = b.term, b.id, b.inDict
+func (o *filterOp) open(rt *runEnv) input {
+	f, err := o.newFilter(rt, o.in.open(rt))
+	if err != nil {
+		return rt.in(o.f, stub{err})
 	}
-	return rt.wrap(o.f, &filterIter{
-		in:      o.in.open(rt),
-		d:       o.d,
-		op:      o.op,
-		slot:    o.slot,
-		rSlot:   o.rSlot,
-		rTerm:   rTerm,
-		rID:     rID,
-		rInDict: rInDict,
-	})
+	return rt.in(o.f, f)
+}
+
+// newFilter instantiates the filter operator over an input, resolving
+// a placeholder constant from the run's bindings.
+func (o *filterOp) newFilter(rt *runEnv, in input) (*filter, error) {
+	f := &filter{in: in, d: o.d, op: o.op, slot: o.slot, rSlot: o.rSlot, rTerm: o.rTerm, rID: o.rID, rInDict: o.rInDict}
+	if o.rParam != "" {
+		b, ok := rt.binds[o.rParam]
+		if !ok {
+			return nil, fmt.Errorf("%w $%s", ErrUnboundParam, o.rParam)
+		}
+		f.rTerm, f.rID, f.rInDict = b.Term, b.ID, b.InDict
+	}
+	return f, nil
 }
 
 func (o *filterOp) logical() algebra.Node { return o.f }
+func (o *filterOp) slots() []int          { return o.in.slots() }
 
 // projectOp narrows rows to the projection columns. n is nil for the
 // implicit root projection synthesized over plans without one.
 type projectOp struct {
-	n     algebra.Node
-	in    physOp
-	slots []int
+	n    algebra.Node
+	in   physOp
+	cols []int
 }
 
-func (o *projectOp) open(rt *runEnv) iterator {
-	return rt.wrap(o.n, &projectIter{in: o.in.open(rt), slots: o.slots})
+func (o *projectOp) open(rt *runEnv) input {
+	return rt.in(o.n, o.newProject(o.in.open(rt)))
+}
+
+func (o *projectOp) newProject(in input) *project {
+	return &project{in: in, slots: o.cols, out: batch{cols: make([][]dict.ID, len(o.cols))}}
 }
 
 func (o *projectOp) logical() algebra.Node { return o.n }
+func (o *projectOp) slots() []int          { return identitySlots(len(o.cols)) }
 
 // sortOp orders the plan's output rows (ORDER BY). It sits above the
 // root projection, synthesized by Compiled.Sorted rather than compiled
@@ -667,47 +591,40 @@ type sortOp struct {
 	d        *dict.Dict
 }
 
-func (o *sortOp) open(rt *runEnv) iterator {
-	in := o.in.open(rt)
+func (o *sortOp) open(rt *runEnv) input {
 	budget := rt.opts.SortBudget
 	if budget <= 0 {
 		budget = DefaultSortBudget
 	}
 	stats := &SortStats{Budget: budget}
 	rt.sortStats = stats
-	var it iterator
+	in := input{rt: rt}
 	// Division, not multiplication: a huge LIMIT must not overflow into
 	// a spuriously eligible top-k that buffers without bound.
-	if o.topK >= 0 && int64(o.topK) <= budget/rowFootprint(o.width()) {
-		stats.Mode = "top-k"
-		stats.K = o.topK
-		it = &topKIter{in: in, rt: rt, d: o.d, keys: o.keys, k: o.topK, stats: stats}
+	if o.topK >= 0 && int64(o.topK) <= budget/rowFootprint(o.outWidth) {
+		stats.Mode, stats.K = "top-k", o.topK
+		in.op = &topK{in: o.in.open(rt), rt: rt, d: o.d, keys: o.keys, width: o.outWidth, k: o.topK, stats: stats}
 	} else {
-		s := &extSortIter{in: in, rt: rt, d: o.d, keys: o.keys, budget: budget, tempDir: rt.opts.TempDir, stats: stats}
+		s := &extSort{in: o.in.open(rt), rt: rt, d: o.d, keys: o.keys, width: o.outWidth, budget: budget, tempDir: rt.opts.TempDir, stats: stats}
 		rt.addCleanup(s.cleanup)
-		it = s
+		in.op = s
 	}
 	if rt.metrics != nil {
-		m := &OpMetrics{}
-		rt.sortM = m
+		in.m, in.timed = &OpMetrics{}, !rt.countsOnly
+		rt.sortM = in.m
 		// Spill counters accumulate in stats during the run; copy them
 		// onto the metrics once the run has shut down (the only point
 		// Metrics may be read).
 		rt.addCleanup(func() {
-			m.SpilledRuns = stats.SpilledRuns
-			m.SpilledBytes = stats.SpilledBytes
+			in.m.SpilledRuns = stats.SpilledRuns
+			in.m.SpilledBytes = stats.SpilledBytes
 		})
-		it = &metricIter{in: it, m: m, timed: !rt.countsOnly}
 	}
-	if rt.hasCtx {
-		it = &cancelIter{in: it, done: rt.done}
-	}
-	return it
+	return in
 }
 
-func (o *sortOp) width() int { return o.outWidth }
-
 func (o *sortOp) logical() algebra.Node { return nil }
+func (o *sortOp) slots() []int          { return identitySlots(o.outWidth) }
 
 // --- compilation ---
 
@@ -731,6 +648,9 @@ func (c *Compiled) Params() []string { return c.params }
 
 // Plan returns the logical plan the physical plan was compiled from.
 func (c *Compiled) Plan() *algebra.Plan { return c.plan }
+
+// Dict returns the dictionary the plan's row IDs decode against.
+func (c *Compiled) Dict() *dict.Dict { return c.eng.src.Dict() }
 
 // Sorted derives a plan whose runs emit rows ordered by the ORDER BY
 // keys, via the streaming sort operator (bounded memory, spilling to
@@ -822,7 +742,7 @@ func (e *Engine) Compile(p *algebra.Plan) (*Compiled, error) {
 		for i, v := range out.vars {
 			cols[i] = c.slots[v]
 		}
-		out.root = &projectOp{in: root, slots: cols}
+		out.root = &projectOp{in: root, cols: cols}
 	}
 	// Exchange placement: wrap morsel-shardable pipeline chains so
 	// parallel runs can scatter them across workers. Sequential runs
@@ -874,40 +794,23 @@ func (c *compiler) compile(n algebra.Node) (physOp, error) {
 	case *algebra.Scan:
 		return c.compileScan(n)
 	case *algebra.Join:
-		l, err := c.compile(n.L)
+		l, r, err := c.compilePair(n.L, n.R)
 		if err != nil {
 			return nil, err
 		}
-		r, err := c.compile(n.R)
-		if err != nil {
-			return nil, err
+		if n.Method == algebra.MergeJoin {
+			slot := c.slots[n.On[0]]
+			return &mergeJoinOp{j: n, l: l, r: r, slot: slot, jc: newJoinCols(l.slots(), r.slots(), []int{slot}), width: c.width()}, nil
 		}
-		shared := make([]int, 0, 4)
-		for _, v := range algebra.SharedVars(n.L, n.R) {
-			shared = append(shared, c.slots[v])
-		}
-		switch n.Method {
-		case algebra.MergeJoin:
-			return &mergeJoinOp{j: n, l: l, r: r, slot: c.slots[n.On[0]], shared: shared}, nil
-		case algebra.HashJoin:
-			keys := make([]int, len(n.On))
-			for i, v := range n.On {
-				keys[i] = c.slots[v]
+		var keys []int // none: Cartesian product
+		for _, v := range n.On {
+			if n.Method == algebra.HashJoin {
+				keys = append(keys, c.slots[v])
 			}
-			op := &hashJoinOp{n: n, build: l, probe: r, keys: keys, shared: shared}
-			op.morsel = c.morselFor(l)
-			return op, nil
-		default:
-			op := &hashJoinOp{n: n, build: l, probe: r, cross: true}
-			op.morsel = c.morselFor(l)
-			return op, nil
 		}
+		return &hashJoinOp{n: n, build: l, probe: r, keys: keys, jc: newJoinCols(l.slots(), r.slots(), keys), width: c.width(), morsel: c.morselFor(l)}, nil
 	case *algebra.LeftJoin:
-		l, err := c.compile(n.L)
-		if err != nil {
-			return nil, err
-		}
-		r, err := c.compile(n.R)
+		l, r, err := c.compilePair(n.L, n.R)
 		if err != nil {
 			return nil, err
 		}
@@ -915,13 +818,7 @@ func (c *compiler) compile(n algebra.Node) (physOp, error) {
 		for _, v := range n.On {
 			keys = append(keys, c.slots[v])
 		}
-		shared := make([]int, 0, 4)
-		for _, v := range algebra.SharedVars(n.L, n.R) {
-			shared = append(shared, c.slots[v])
-		}
-		op := &hashJoinOp{n: n, build: r, probe: l, keys: keys, shared: shared, leftOuter: true}
-		op.morsel = c.morselFor(r)
-		return op, nil
+		return &hashJoinOp{n: n, build: r, probe: l, keys: keys, jc: newJoinCols(r.slots(), l.slots(), keys), width: c.width(), leftOuter: true, morsel: c.morselFor(r)}, nil
 	case *algebra.Filter:
 		in, err := c.compile(n.In)
 		if err != nil {
@@ -963,18 +860,29 @@ func (c *compiler) compile(n algebra.Node) (physOp, error) {
 			}
 			cols = append(cols, s)
 		}
-		return &projectOp{n: n, in: in, slots: cols}, nil
+		return &projectOp{n: n, in: in, cols: cols}, nil
 	default:
 		return nil, fmt.Errorf("exec: unknown plan node %T", n)
 	}
 }
 
+// compilePair compiles the two inputs of a join.
+func (c *compiler) compilePair(l, r algebra.Node) (physOp, physOp, error) {
+	lo, err := c.compile(l)
+	if err != nil {
+		return nil, nil, err
+	}
+	ro, err := c.compile(r)
+	return lo, ro, err
+}
+
 // morselFor describes the build side as a partitionable scan, or nil
-// when it is anything else (filters, joins, aggregated scans, or a
-// source without positional ranges).
+// when it is anything else (filters, joins, aggregated scans, a scan
+// that drops rows on a repeated variable, or a source without
+// positional ranges).
 func (c *compiler) morselFor(op physOp) *morselScan {
 	s, ok := op.(*scanOp)
-	if !ok {
+	if !ok || slices.ContainsFunc(s.checkSlot, func(c int) bool { return c >= 0 }) {
 		return nil
 	}
 	src, ok := s.src.(MorselSource)
@@ -1051,8 +959,10 @@ func (c *compiler) compileScan(s *algebra.Scan) (physOp, error) {
 			boundAt[v] = slot
 			op.slotOf = append(op.slotOf, slot)
 			op.checkSlot = append(op.checkSlot, -1)
+			op.bound = append(op.bound, slot)
 		}
 	}
+	sort.Ints(op.bound)
 	return op, nil
 }
 
@@ -1075,20 +985,24 @@ func (c *compiler) compileAggScan(s *algebra.Scan, prefix []dict.ID, params []pr
 			continue
 		}
 		op.slotOf[i] = c.slot(n.Var)
+		op.bound = append(op.bound, op.slotOf[i])
 	}
+	sort.Ints(op.bound)
 	return op, nil
 }
 
 // --- runs ---
 
-// Run is one pull-based execution of a compiled plan. Runs are not safe
-// for concurrent use; a run must be Closed (or drained) before its
-// Metrics are read. Rows returned by Row are valid until the next call
-// to Next.
+// Run is one execution of a compiled plan: a row cursor over the root
+// operator's batches. Runs are not safe for concurrent use; a run must
+// be Closed (or drained) before its Metrics are read. Rows returned by
+// Row are valid until the next call to Next.
 type Run struct {
 	c        *Compiled
 	rt       *runEnv
-	it       iterator
+	root     input
+	b        *batch // current root batch; row i is the cursor
+	i        int
 	distinct bool
 	ask      bool
 	seen     map[string]bool
@@ -1108,10 +1022,10 @@ func (c *Compiled) Run(opts Options) *Run {
 
 // RunContext starts a new execution bound to ctx: when the context is
 // cancelled or its deadline fires, the run aborts cooperatively — at
-// operator pull points and morsel boundaries — and Err returns the
-// context's error. A context that is already cancelled yields a run
-// that emits nothing without opening the operator tree. Close must
-// still be called (or the run drained) to release resources.
+// batch pulls and morsel boundaries — and Err returns the context's
+// error. A context that is already cancelled yields a run that emits
+// nothing without opening the operator tree. Close must still be called
+// (or the run drained) to release resources.
 func (c *Compiled) RunContext(ctx context.Context, opts Options) *Run {
 	return c.runCtx(ctx, opts, false)
 }
@@ -1124,25 +1038,18 @@ func (c *Compiled) runCtx(ctx context.Context, opts Options, countsOnly bool) *R
 	if opts.Analyze {
 		rt.metrics = Metrics{}
 	}
-	r := &Run{c: c, rt: rt}
+	r := &Run{c: c, rt: rt, root: input{op: stub{}, rt: rt}, row: make(Row, len(c.vars))}
 	// Bind step: resolve every placeholder binding against the
 	// dictionary once per run (pre-resolved batched bindings skip the
 	// lookups), then validate the plan's placeholders are all covered —
 	// before any operator opens or worker starts.
-	if len(opts.Resolved) > 0 {
-		rt.resolved = opts.Resolved
-	} else if len(opts.Binds) > 0 {
-		d := c.eng.src.Dict()
-		rt.binds = make(map[string]boundParam, len(opts.Binds))
-		for name, t := range opts.Binds {
-			id, inDict := d.Lookup(t)
-			rt.binds[name] = boundParam{term: t, id: id, inDict: inDict}
-		}
+	rt.binds = opts.Resolved
+	if len(rt.binds) == 0 {
+		rt.binds = c.ResolveBinds(opts.Binds)
 	}
 	for _, name := range c.params {
-		if !rt.hasBind(name) {
+		if _, ok := rt.binds[name]; !ok {
 			rt.cancel(nil)
-			r.it = emptyIter{}
 			r.err = fmt.Errorf("%w $%s", ErrUnboundParam, name)
 			r.done = true
 			return r
@@ -1160,7 +1067,6 @@ func (c *Compiled) runCtx(ctx context.Context, opts Options, countsOnly bool) *R
 			// Already cancelled: never open the operator tree, so no scan
 			// or build work starts at all.
 			rt.cancel(err)
-			r.it = emptyIter{}
 			r.done = true
 			return r
 		}
@@ -1178,50 +1084,41 @@ func (c *Compiled) runCtx(ctx context.Context, opts Options, countsOnly bool) *R
 			}()
 		}
 	}
-	r.it = c.root.open(rt)
+	r.root = c.root.open(rt)
 	return r
 }
 
 // Next advances to the next row, returning false at the end of the
-// stream, on error, or when the run's context is cancelled.
+// stream, on error, or when the run's context is cancelled (observed
+// when the cursor moves on to the next batch).
 func (r *Run) Next() bool {
 	if r.done || r.closed {
 		return false
 	}
-	// Pull-point cancellation checks only apply to context-bound runs;
-	// context-less runs observe Close via r.closed and pay nothing here.
-	if r.rt.hasCtx && r.rt.cancelled() {
-		return r.stop()
-	}
-	for r.it.Next() {
-		if r.rt.hasCtx && r.rt.cancelled() {
-			return r.stop()
+	for {
+		r.i++
+		for r.b == nil || r.i >= r.b.n {
+			r.b, r.err = r.root.next()
+			if r.b == nil {
+				r.done = true
+				r.rt.shutdown()
+				return false
+			}
+			r.i = 0
 		}
-		row := r.it.Row()
+		r.b.row(r.i, r.row)
 		if r.distinct {
-			k := RowKey(row)
+			k := RowKey(r.row)
 			if r.seen[k] {
 				continue
 			}
 			r.seen[k] = true
 		}
-		r.row = row
 		if r.ask {
 			r.done = true // ASK needs only existence
 		}
 		return true
 	}
-	r.err = r.it.Err()
-	r.done = true
-	r.rt.shutdown()
-	return false
-}
-
-// stop ends a cancelled run at a pull point, releasing its workers.
-func (r *Run) stop() bool {
-	r.done = true
-	r.rt.shutdown()
-	return false
 }
 
 // Row returns the current row (columns aligned with Vars), valid until
@@ -1249,13 +1146,19 @@ func (r *Run) Err() error {
 	if e, ok := r.rt.workerErr.Load().(error); ok {
 		return e
 	}
-	return r.rt.cancelCause()
+	cause, _ := r.rt.cause.Load().(error) // the context error that aborted the run, if any
+	return cause
 }
 
 // Close cancels the run and waits for every worker it spawned to exit;
 // closing an exhausted or already-closed run is a cheap no-op. It never
 // fails; the error return mirrors io.Closer.
 func (r *Run) Close() error {
+	if r.b != nil && !r.closed {
+		// Abandoned mid-batch (LIMIT, ASK): analyze counts stay what a
+		// row-at-a-time engine would have pulled.
+		r.root.consumed(r.i + 1)
+	}
 	r.closed = true
 	r.rt.shutdown()
 	return nil

@@ -11,6 +11,7 @@ import (
 	"github.com/sparql-hsp/hsp/internal/algebra"
 	"github.com/sparql-hsp/hsp/internal/cdp"
 	"github.com/sparql-hsp/hsp/internal/core"
+	"github.com/sparql-hsp/hsp/internal/dict"
 	"github.com/sparql-hsp/hsp/internal/rdf3x"
 	"github.com/sparql-hsp/hsp/internal/sp2bench"
 	"github.com/sparql-hsp/hsp/internal/sparql"
@@ -240,32 +241,60 @@ func TestCompiledReusable(t *testing.T) {
 	}
 }
 
-// TestShardedTable exercises the parallel table directly.
-func TestShardedTable(t *testing.T) {
-	nShards := shardCountFor(4)
-	st := &shardedTable{shards: make([]mapTable, nShards), mask: nShards - 1}
-	for i := range st.shards {
-		st.shards[i] = make(mapTable)
-	}
-	rows := map[string]Row{}
+// TestBuildTable exercises the ID-keyed hash table directly: every row
+// is found under its key, chains list rows in arena order, and a
+// key-less table chains the whole arena.
+func TestBuildTable(t *testing.T) {
+	rt := &runEnv{done: make(chan struct{})}
+	tbl := &buildTable{keys: []int{0}}
+	b := &batch{cols: [][]dict.ID{make([]dict.ID, 1000), make([]dict.ID, 1000)}, n: 1000}
 	for i := 0; i < 1000; i++ {
-		r := Row{uint64(i % 37), uint64(i)}
-		k := hashKey(r, []int{0, 1})
-		rows[k] = r
-		s := fnv32(k) & st.mask
-		st.shards[s][k] = append(st.shards[s][k], r)
+		b.cols[0][i], b.cols[1][i] = dict.ID(i%37+1), dict.ID(i+1)
 	}
-	if st.size() != 1000 {
-		t.Fatalf("size = %d", st.size())
+	for i := 0; i < 20; i++ { // 20 000 rows: the arena spans three chunks
+		tbl.add(rt, b, []int{0, 1})
 	}
-	for k, r := range rows {
-		got := st.lookup(k)
-		if len(got) != 1 || got[0][1] != r[1] {
-			t.Fatalf("lookup(%q) = %v, want %v", k, got, r)
+	if err := tbl.index(); err != nil {
+		t.Fatal(err)
+	}
+	if tbl.n != 20000 || len(tbl.chunks) != 3 {
+		t.Fatalf("n = %d in %d chunks", tbl.n, len(tbl.chunks))
+	}
+	probe := [][]dict.ID{{0}, nil}
+	for k := dict.ID(1); k <= 38; k++ {
+		probe[0][0] = k
+		var got []dict.ID
+		for c := tbl.head[hashRow(probe, tbl.keys, 0)&tbl.mask]; c != 0; c = tbl.next[c-1] {
+			if cols, i := tbl.at(int(c - 1)); keysEqual(cols, i, probe, 0, tbl.keys) {
+				got = append(got, cols[1][i])
+			}
+		}
+		want := 0
+		for r := 0; r < 20000; r++ {
+			if i := r % 1000; dict.ID(i%37+1) == k {
+				if want >= len(got) || got[want] != dict.ID(i+1) {
+					t.Fatalf("key %d: match %d = %v, want row %d in arena order", k, want, got, i+1)
+				}
+				want++
+			}
+		}
+		if want != len(got) {
+			t.Fatalf("key %d: %d matches, want %d", k, len(got), want)
 		}
 	}
-	if got := st.lookup("absent"); got != nil {
-		t.Fatalf("lookup(absent) = %v", got)
+	cross := &buildTable{chunks: tbl.chunks, n: tbl.n}
+	if err := cross.index(); err != nil {
+		t.Fatal(err)
+	}
+	n := 0
+	for c := cross.head[0]; c != 0; c = cross.next[c-1] {
+		if int(c-1) != n {
+			t.Fatalf("key-less chain visits row %d at position %d", c-1, n)
+		}
+		n++
+	}
+	if n != 20000 {
+		t.Fatalf("key-less chain has %d rows", n)
 	}
 }
 

@@ -1,12 +1,14 @@
-// Package exec is the physical execution engine: a pull-based (volcano)
+// Package exec is the physical execution engine: a batch-at-a-time
 // interpreter for the logical plans of package algebra, with merge
 // joins, hash joins, filters and projections over either storage
 // substrate — the MonetDB-style column store (sorted arrays, binary
-// search) or the RDF-3X-style compressed indexes.
+// search) or the RDF-3X-style compressed indexes. Operators exchange
+// batches of up to 8192 rows of dictionary IDs, one column per variable
+// slot, drawn from a pool shared across runs; cancellation, analyze
+// metrics and the merge joins' input-order check run once per batch.
 //
-// Merge-join inputs are order-checked at runtime: a violated sort order
-// aborts the query with an error instead of silently producing wrong
-// results.
+// A merge-join input that violates its sort order aborts the query
+// with an error instead of silently producing wrong results.
 package exec
 
 import (

@@ -25,11 +25,6 @@ import (
 // operator when the run does not set Options.SortBudget: 64 MiB.
 const DefaultSortBudget = 64 << 20
 
-// spillCheckEvery is how many merge pulls pass between cancellation
-// checks, so a cancelled context deletes the temp files promptly even
-// when the consumer keeps pulling.
-const spillCheckEvery = 256
-
 // SortStats describes how a run executed its ORDER BY: which strategy
 // the sort operator chose and how much it buffered and spilled. A run
 // over a plan without a sort operator has no SortStats.
@@ -129,6 +124,34 @@ func compareRows(d *dict.Dict, keys []sortKey, a, b Row) int {
 // slice header plus its backing array.
 func rowFootprint(width int) int64 { return int64(24 + 8*width) }
 
+// rowArena carves buffered rows out of flat chunks, so materialising
+// rows costs one allocation per chunk (a chunk per input batch), not
+// one per row.
+type rowArena struct {
+	buf   []dict.ID
+	width int
+}
+
+// take carves the next row, contents unspecified, from the arena; a
+// fresh chunk, when one is needed, holds chunkRows rows.
+func (a *rowArena) take(chunkRows int) Row {
+	if len(a.buf) < a.width {
+		a.buf = make([]dict.ID, a.width*max(chunkRows, 1))
+	}
+	r := a.buf[:a.width:a.width]
+	a.buf = a.buf[a.width:]
+	return r
+}
+
+// put appends a row to the batch (every column of the sort's output
+// batches is bound).
+func (b *batch) put(r Row) {
+	for c, v := range r {
+		b.cols[c][b.n] = v
+	}
+	b.n++
+}
+
 // --- spilled-run codec ---
 
 // writeRowTo appends one row to a run file, each column as a uvarint
@@ -155,12 +178,11 @@ type spillRun struct {
 	read  int
 }
 
-// next reads the run's next row, or reports exhaustion.
-func (s *spillRun) next() (Row, bool, error) {
+// next reads the run's next row into r, or reports exhaustion.
+func (s *spillRun) next(r Row) (Row, bool, error) {
 	if s.read >= s.rows {
 		return nil, false, nil
 	}
-	r := make(Row, s.width)
 	for i := range r {
 		v, err := binary.ReadUvarint(s.br)
 		if err != nil {
@@ -183,23 +205,23 @@ func (s *spillRun) remove() {
 
 // --- k-way merge ---
 
-// mergeItem is one heap entry of the k-way merge: a row plus the index
-// of the source it came from. Sources are numbered in spill order with
-// the in-memory tail last, so tie-breaking on src keeps the merge
-// stable (equal keys emit in input order).
-type mergeItem struct {
+// sortItem is one entry of the sort's heaps: a row plus its tie-break
+// rank. In the k-way merge the rank is the index of the source the row
+// came from — sources are numbered in spill order with the in-memory
+// tail last, so equal keys emit in input order; in the top-k heap it is
+// the row's input sequence number.
+type sortItem struct {
 	row Row
-	src int
+	ord int64
 }
 
-// mergeHeap is a hand-rolled binary min-heap over (sort key, source
-// index).
-type mergeHeap struct {
-	items []mergeItem
-	less  func(a, b mergeItem) bool
+// rowHeap is a hand-rolled binary heap with less(root, x) for every x.
+type rowHeap struct {
+	items []sortItem
+	less  func(a, b sortItem) bool
 }
 
-func (h *mergeHeap) push(it mergeItem) {
+func (h *rowHeap) push(it sortItem) {
 	h.items = append(h.items, it)
 	i := len(h.items) - 1
 	for i > 0 {
@@ -212,7 +234,7 @@ func (h *mergeHeap) push(it mergeItem) {
 	}
 }
 
-func (h *mergeHeap) pop() mergeItem {
+func (h *rowHeap) pop() sortItem {
 	top := h.items[0]
 	last := len(h.items) - 1
 	h.items[0] = h.items[last]
@@ -221,7 +243,7 @@ func (h *mergeHeap) pop() mergeItem {
 	return top
 }
 
-func (h *mergeHeap) siftDown(i int) {
+func (h *rowHeap) siftDown(i int) {
 	n := len(h.items)
 	for {
 		l, r := 2*i+1, 2*i+2
@@ -240,92 +262,115 @@ func (h *mergeHeap) siftDown(i int) {
 	}
 }
 
-// --- external sort iterator ---
+// rankedBefore orders two heap entries by sort key, then rank.
+func rankedBefore(d *dict.Dict, keys []sortKey, a, b sortItem) bool {
+	if c := compareRows(d, keys, a.row, b.row); c != 0 {
+		return c < 0
+	}
+	return a.ord < b.ord
+}
 
-// extSortIter sorts its input with bounded memory: rows buffer up to
-// the budget, full buffers spill to disk as sorted runs, and the output
-// is a streaming merge of the spilled runs plus the in-memory tail.
-// Temp files are deleted as soon as the merge exhausts, the run is
-// cancelled (checked at merge pull points), or the run is closed early
-// (via the runEnv cleanup hook).
-type extSortIter struct {
-	in      iterator
+// --- sort operators ---
+
+// extSort sorts its input with bounded memory: rows buffer up to the
+// budget, full buffers spill to disk as sorted runs, and the output is
+// a streaming merge of the spilled runs plus the in-memory tail, batch
+// by batch. Temp files are deleted as soon as the merge exhausts, the
+// input fails or is cancelled, or the run is closed early (via the
+// runEnv cleanup hook).
+type extSort struct {
+	in      input
 	rt      *runEnv
 	d       *dict.Dict
 	keys    []sortKey
+	width   int
 	budget  int64
 	tempDir string
 	stats   *SortStats
 
-	started bool
 	ended   bool
+	arena   rowArena
 	buf     []Row
 	bufSize int64
 	runs    []*spillRun
+	out     *batch
 
 	// merge state (external mode)
-	heap    *mergeHeap
+	heap    *rowHeap
 	sources []*spillRun // heap src i < len(sources) pulls sources[i]
 
 	// in-memory tail: served after the spilled runs are exhausted in
 	// merge mode, or as the whole output in in-memory mode.
 	memIdx int
-
-	pulls int
-	out   Row
-	err   error
+	err    error
 }
 
-func (s *extSortIter) Next() bool {
+func (s *extSort) next() (*batch, error) {
 	if s.err != nil || s.ended {
-		return false
+		return nil, s.err
 	}
-	if !s.started {
-		s.started = true
+	if s.out == nil { // first pull
 		if !s.build() {
-			return false
+			return nil, s.err
+		}
+		s.out = s.rt.newBatch(s.width, identitySlots(s.width), batchRows)
+	}
+	out := s.out
+	for out.n = 0; out.n < batchRows && s.err == nil; {
+		if s.heap != nil {
+			if len(s.heap.items) == 0 {
+				break
+			}
+			s.popMerged(out)
+		} else {
+			if s.memIdx >= len(s.buf) {
+				break
+			}
+			out.put(s.buf[s.memIdx])
+			s.memIdx++
 		}
 	}
-	if s.pulls++; s.pulls%spillCheckEvery == 0 && s.rt.cancelled() {
-		s.fail(errClosed)
-		return false
+	if s.err != nil {
+		return nil, s.err
 	}
-	if s.heap != nil {
-		return s.nextMerged()
+	if out.n == 0 {
+		s.ended = true
+		s.cleanup()
+		return nil, nil
 	}
-	return s.nextMem()
+	return out, nil
 }
 
 // build drains the input, spilling sorted runs whenever the buffer
 // exceeds the budget, then prepares the merge (or the in-memory emit
 // path when nothing spilled).
-func (s *extSortIter) build() bool {
-	n := 0
-	for s.in.Next() {
-		if n++; n%spillCheckEvery == 0 && s.rt.cancelled() {
-			s.fail(errClosed)
+func (s *extSort) build() bool {
+	s.arena.width = s.width
+	for {
+		b, err := s.in.next()
+		if err != nil {
+			s.fail(err)
 			return false
 		}
-		r := append(Row(nil), s.in.Row()...)
-		s.buf = append(s.buf, r)
-		s.bufSize += rowFootprint(len(r))
-		if s.bufSize > s.stats.PeakBytes {
-			s.stats.PeakBytes = s.bufSize
+		if b == nil {
+			break
 		}
-		if s.bufSize >= s.budget && len(s.buf) > 1 {
-			if err := s.spill(); err != nil {
-				s.fail(err)
-				return false
+		for i := 0; i < b.n; i++ {
+			// A chunk never holds more rows than the budget still admits.
+			row := s.arena.take(min(b.n-i, int((s.budget-s.bufSize)/rowFootprint(s.width))+1))
+			b.row(i, row)
+			s.buf = append(s.buf, row)
+			s.bufSize += rowFootprint(s.width)
+			if s.bufSize > s.stats.PeakBytes {
+				s.stats.PeakBytes = s.bufSize
+			}
+			if s.bufSize >= s.budget && len(s.buf) > 1 {
+				if err := s.spill(); err != nil {
+					s.fail(err)
+					return false
+				}
 			}
 		}
-	}
-	if err := s.in.Err(); err != nil {
-		s.fail(err)
-		return false
-	}
-	if s.rt.cancelled() {
-		s.fail(errClosed)
-		return false
 	}
 	s.sortBuf()
 	if len(s.runs) == 0 {
@@ -338,14 +383,14 @@ func (s *extSortIter) build() bool {
 
 // sortBuf stably sorts the current buffer, preserving input order on
 // equal keys.
-func (s *extSortIter) sortBuf() {
+func (s *extSort) sortBuf() {
 	sort.SliceStable(s.buf, func(i, j int) bool {
 		return compareRows(s.d, s.keys, s.buf[i], s.buf[j]) < 0
 	})
 }
 
 // spill sorts the buffer and writes it to a fresh temp file as one run.
-func (s *extSortIter) spill() error {
+func (s *extSort) spill() error {
 	s.sortBuf()
 	dir := s.tempDir
 	if dir != "" {
@@ -357,10 +402,7 @@ func (s *extSortIter) spill() error {
 	if err != nil {
 		return fmt.Errorf("exec: sort spill: %w", err)
 	}
-	run := &spillRun{f: f, path: f.Name(), rows: len(s.buf)}
-	if len(s.buf) > 0 {
-		run.width = len(s.buf[0])
-	}
+	run := &spillRun{f: f, path: f.Name(), rows: len(s.buf), width: s.width}
 	w := bufio.NewWriterSize(f, 64<<10)
 	scratch := make([]byte, binary.MaxVarintLen64)
 	for _, r := range s.buf {
@@ -378,7 +420,7 @@ func (s *extSortIter) spill() error {
 	}
 	s.stats.SpilledRuns++
 	s.runs = append(s.runs, run)
-	s.buf = s.buf[:0]
+	s.buf, s.arena.buf = s.buf[:0], nil
 	s.bufSize = 0
 	return nil
 }
@@ -386,88 +428,56 @@ func (s *extSortIter) spill() error {
 // openMerge rewinds every spilled run and seeds the merge heap with
 // each source's first row; the sorted in-memory tail is the final
 // source.
-func (s *extSortIter) openMerge() bool {
+func (s *extSort) openMerge() bool {
 	s.sources = s.runs
-	s.heap = &mergeHeap{less: func(a, b mergeItem) bool {
-		c := compareRows(s.d, s.keys, a.row, b.row)
-		if c != 0 {
-			return c < 0
-		}
-		return a.src < b.src
-	}}
-	for _, run := range s.runs {
+	s.heap = &rowHeap{less: func(a, b sortItem) bool { return rankedBefore(s.d, s.keys, a, b) }}
+	for i, run := range s.runs {
 		if _, err := run.f.Seek(0, io.SeekStart); err != nil {
 			s.fail(fmt.Errorf("exec: sort merge: %w", err))
 			return false
 		}
 		run.br = bufio.NewReaderSize(run.f, 32<<10)
-	}
-	for i := range s.sources {
-		if !s.refill(i) && s.err != nil {
+		// One row of storage per source, reused for every row read back.
+		if s.refill(i, make(Row, s.width)); s.err != nil {
 			return false
 		}
 	}
-	if s.memIdx < len(s.buf) {
-		s.heap.push(mergeItem{row: s.buf[s.memIdx], src: len(s.sources)})
-		s.memIdx++
-	}
+	s.pushMem()
 	return true
 }
 
-// refill pushes source i's next row onto the heap; false when the
-// source is exhausted or errored.
-func (s *extSortIter) refill(i int) bool {
-	r, ok, err := s.sources[i].next()
+// refill reads source i's next row into r and pushes it onto the heap.
+func (s *extSort) refill(i int, r Row) {
+	r, ok, err := s.sources[i].next(r)
 	if err != nil {
 		s.fail(err)
-		return false
+	} else if ok {
+		s.heap.push(sortItem{row: r, ord: int64(i)})
 	}
-	if !ok {
-		return false
-	}
-	s.heap.push(mergeItem{row: r, src: i})
-	return true
 }
 
-// nextMerged pops the globally smallest row and refills from its
-// source.
-func (s *extSortIter) nextMerged() bool {
-	if len(s.heap.items) == 0 {
-		s.finish()
-		return false
-	}
-	it := s.heap.pop()
-	s.out = it.row
-	if it.src < len(s.sources) {
-		if !s.refill(it.src) && s.err != nil {
-			return false
-		}
-	} else if s.memIdx < len(s.buf) {
-		s.heap.push(mergeItem{row: s.buf[s.memIdx], src: len(s.sources)})
+// pushMem pushes the in-memory tail's next row onto the heap.
+func (s *extSort) pushMem() {
+	if s.memIdx < len(s.buf) {
+		s.heap.push(sortItem{row: s.buf[s.memIdx], ord: int64(len(s.sources))})
 		s.memIdx++
 	}
-	return true
 }
 
-// nextMem serves the in-memory (nothing spilled) path.
-func (s *extSortIter) nextMem() bool {
-	if s.memIdx >= len(s.buf) {
-		s.finish()
-		return false
+// popMerged moves the globally smallest row to out and refills the
+// heap from that row's source.
+func (s *extSort) popMerged(out *batch) {
+	it := s.heap.pop()
+	out.put(it.row)
+	if it.ord < int64(len(s.sources)) {
+		s.refill(int(it.ord), it.row)
+	} else {
+		s.pushMem()
 	}
-	s.out = s.buf[s.memIdx]
-	s.memIdx++
-	return true
-}
-
-// finish ends an exhausted sort, releasing buffers and temp files.
-func (s *extSortIter) finish() {
-	s.ended = true
-	s.cleanup()
 }
 
 // fail ends the sort with an error, releasing temp files immediately.
-func (s *extSortIter) fail(err error) {
+func (s *extSort) fail(err error) {
 	s.err = err
 	s.ended = true
 	s.cleanup()
@@ -476,7 +486,7 @@ func (s *extSortIter) fail(err error) {
 // cleanup deletes every spilled run and drops the buffer. It is
 // idempotent and also registered as a runEnv cleanup hook, so an early
 // Close deletes the temp files even when the merge is never drained.
-func (s *extSortIter) cleanup() {
+func (s *extSort) cleanup() {
 	for _, run := range s.runs {
 		run.remove()
 	}
@@ -485,147 +495,81 @@ func (s *extSortIter) cleanup() {
 	s.buf = nil
 }
 
-func (s *extSortIter) Row() Row { return s.out }
-
-func (s *extSortIter) Err() error { return s.err }
-
 // --- top-k short circuit ---
 
-// topKRow tags a buffered row with its input sequence number, keeping
-// the bounded heap stable (on equal keys the earlier row wins, matching
-// a stable full sort followed by LIMIT).
-type topKRow struct {
-	row Row
-	seq int64
-}
-
-// topKIter implements ORDER BY ... LIMIT k (k = OFFSET+LIMIT) with a
-// bounded max-heap of the k best rows seen so far: memory stays at k
-// rows no matter the input size, and nothing ever spills. Selected when
-// k rows fit in the sort budget and the query has no DISTINCT (which
-// must deduplicate before the limit applies).
-type topKIter struct {
-	in    iterator
+// topK implements ORDER BY ... LIMIT k (k = OFFSET+LIMIT) with a
+// bounded max-heap of the k best rows seen so far — ranked by input
+// sequence number, so on equal keys the earlier row wins, matching a
+// stable full sort followed by LIMIT. Memory stays at k rows no matter
+// the input size, and nothing ever spills. Selected when k rows fit in
+// the sort budget and the query has no DISTINCT (which must deduplicate
+// before the limit applies).
+type topK struct {
+	in    input
 	rt    *runEnv
 	d     *dict.Dict
 	keys  []sortKey
+	width int
 	k     int
 	stats *SortStats
 
-	started bool
-	heap    []topKRow // max-heap: worst kept row at the root
-	seq     int64
-	idx     int
-	out     Row
-	err     error
+	arena    rowArena
+	heap     rowHeap // max-heap: the kept row to evict first at the root
+	idx      int
+	out      *batch
+	capacity int
 }
 
-// worse reports whether a should be evicted before b: greater sort key,
-// or equal key and later arrival.
-func (t *topKIter) worse(a, b topKRow) bool {
-	c := compareRows(t.d, t.keys, a.row, b.row)
-	if c != 0 {
-		return c > 0
-	}
-	return a.seq > b.seq
-}
-
-func (t *topKIter) Next() bool {
-	if t.err != nil {
-		return false
-	}
-	if !t.started {
-		t.started = true
-		if !t.build() {
-			return false
+func (t *topK) next() (*batch, error) {
+	if t.out == nil { // first pull
+		if err := t.build(); err != nil {
+			return nil, err
 		}
+		t.capacity = min(batchRows, max(len(t.heap.items), 1))
+		t.out = t.rt.newBatch(t.width, identitySlots(t.width), t.capacity)
 	}
-	if t.idx >= len(t.heap) {
-		return false
+	out := t.out
+	for out.n = 0; t.idx < len(t.heap.items) && out.n < t.capacity; t.idx++ {
+		out.put(t.heap.items[t.idx].row)
 	}
-	t.out = t.heap[t.idx].row
-	t.idx++
-	return true
+	if out.n == 0 {
+		return nil, nil
+	}
+	return out, nil
 }
 
 // build drains the input through the bounded heap, then sorts the k
 // survivors for in-order emission.
-func (t *topKIter) build() bool {
-	n := 0
-	for t.k > 0 && t.in.Next() {
-		if n++; n%spillCheckEvery == 0 && t.rt.cancelled() {
-			t.err = errClosed
-			return false
+func (t *topK) build() error {
+	t.arena.width = t.width
+	before := func(a, b sortItem) bool { return rankedBefore(t.d, t.keys, a, b) }
+	t.heap.less = func(a, b sortItem) bool { return before(b, a) }
+	h := &t.heap
+	cand := sortItem{row: make(Row, t.width)}
+	for t.k > 0 {
+		b, err := t.in.next()
+		if err != nil {
+			return err
 		}
-		t.seq++
-		cand := topKRow{seq: t.seq}
-		if len(t.heap) < t.k {
-			cand.row = append(Row(nil), t.in.Row()...)
-			t.heapPush(cand)
-			continue
-		}
-		cand.row = t.in.Row() // compare in place; copy only if kept
-		if !t.worse(t.heap[0], cand) {
-			continue // the kept worst is still better; drop the candidate
-		}
-		cand.row = append(Row(nil), cand.row...)
-		t.heap[0] = cand
-		t.heapSiftDown(0)
-	}
-	if err := t.in.Err(); err != nil {
-		t.err = err
-		return false
-	}
-	sort.Slice(t.heap, func(i, j int) bool {
-		c := compareRows(t.d, t.keys, t.heap[i].row, t.heap[j].row)
-		if c != 0 {
-			return c < 0
-		}
-		return t.heap[i].seq < t.heap[j].seq
-	})
-	t.stats.PeakBytes = int64(len(t.heap)) * rowFootprint(rowWidth(t.heap))
-	return true
-}
-
-func rowWidth(rows []topKRow) int {
-	if len(rows) == 0 {
-		return 0
-	}
-	return len(rows[0].row)
-}
-
-func (t *topKIter) heapPush(r topKRow) {
-	t.heap = append(t.heap, r)
-	i := len(t.heap) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !t.worse(t.heap[i], t.heap[p]) {
+		if b == nil {
 			break
 		}
-		t.heap[i], t.heap[p] = t.heap[p], t.heap[i]
-		i = p
+		for i := 0; i < b.n; i++ {
+			cand.ord++
+			b.row(i, cand.row)
+			if len(h.items) < t.k {
+				kept := sortItem{row: t.arena.take(min(b.n-i, t.k-len(h.items))), ord: cand.ord}
+				copy(kept.row, cand.row)
+				h.push(kept)
+			} else if before(cand, h.items[0]) {
+				// The candidate beats the kept worst: take over its storage.
+				copy(h.items[0].row, cand.row)
+				h.items[0].ord = cand.ord
+				h.siftDown(0)
+			}
+		}
 	}
+	sort.Slice(h.items, func(i, j int) bool { return before(h.items[i], h.items[j]) })
+	t.stats.PeakBytes = int64(len(h.items)) * rowFootprint(t.width)
+	return nil
 }
-
-func (t *topKIter) heapSiftDown(i int) {
-	n := len(t.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		m := i
-		if l < n && t.worse(t.heap[l], t.heap[m]) {
-			m = l
-		}
-		if r < n && t.worse(t.heap[r], t.heap[m]) {
-			m = r
-		}
-		if m == i {
-			return
-		}
-		t.heap[i], t.heap[m] = t.heap[m], t.heap[i]
-		i = m
-	}
-}
-
-func (t *topKIter) Row() Row { return t.out }
-
-func (t *topKIter) Err() error { return t.err }

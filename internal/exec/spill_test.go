@@ -15,22 +15,35 @@ import (
 	"github.com/sparql-hsp/hsp/internal/sparql"
 )
 
-// sliceIter feeds a fixed row slice through the iterator interface.
-type rowSliceIter struct {
-	rows []Row
-	i    int
+// rowsOp feeds a fixed row slice through the operator contract, in
+// batches of at most chunk rows.
+type rowsOp struct {
+	rows  []Row
+	chunk int
+	out   batch
 }
 
-func (s *rowSliceIter) Next() bool {
-	if s.i >= len(s.rows) {
-		return false
+func (s *rowsOp) next() (*batch, error) {
+	n := min(s.chunk, len(s.rows))
+	if n == 0 {
+		return nil, nil
 	}
-	s.i++
-	return true
+	width := len(s.rows[0])
+	s.out = batch{cols: make([][]dict.ID, width), n: n}
+	for c := range s.out.cols {
+		s.out.cols[c] = make([]dict.ID, n)
+		for i, r := range s.rows[:n] {
+			s.out.cols[c][i] = r[c]
+		}
+	}
+	s.rows = s.rows[n:]
+	return &s.out, nil
 }
 
-func (s *rowSliceIter) Row() Row   { return s.rows[s.i-1] }
-func (s *rowSliceIter) Err() error { return nil }
+// rowsInput wraps rows as an operator input of the given run.
+func rowsInput(rt *runEnv, rows []Row) input {
+	return input{op: &rowsOp{rows: rows, chunk: 64}, rt: rt}
+}
 
 // sortFixture builds a dictionary whose term texts order the same as
 // their numeric suffixes, plus n random rows of the given width over
@@ -69,16 +82,23 @@ func referenceSort(d *dict.Dict, keys []sortKey, rows []Row) []Row {
 	return out
 }
 
-func drainIter(t *testing.T, it iterator) []Row {
+func drainOp(t *testing.T, op operator) []Row {
 	t.Helper()
 	var out []Row
-	for it.Next() {
-		out = append(out, append(Row(nil), it.Row()...))
+	for {
+		b, err := op.next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b == nil {
+			return out
+		}
+		for i := 0; i < b.n; i++ {
+			r := make(Row, len(b.cols))
+			b.row(i, r)
+			out = append(out, r)
+		}
 	}
-	if err := it.Err(); err != nil {
-		t.Fatal(err)
-	}
-	return out
 }
 
 func rowsEqual(a, b []Row) bool {
@@ -116,11 +136,11 @@ func TestExternalSortMatchesStableSort(t *testing.T) {
 			dir := t.TempDir()
 			rt := &runEnv{done: make(chan struct{})}
 			stats := &SortStats{Budget: 2048}
-			s := &extSortIter{
-				in: &rowSliceIter{rows: rows}, rt: rt, d: d, keys: tc.keys,
+			s := &extSort{
+				in: rowsInput(rt, rows), rt: rt, d: d, keys: tc.keys, width: 3,
 				budget: 2048, tempDir: dir, stats: stats,
 			}
-			got := drainIter(t, s)
+			got := drainOp(t, s)
 			want := referenceSort(d, tc.keys, rows)
 			if !rowsEqual(got, want) {
 				t.Fatalf("external sort diverges from stable sort (%d vs %d rows)", len(got), len(want))
@@ -148,9 +168,9 @@ func TestExternalSortInMemoryMode(t *testing.T) {
 	keys := []sortKey{{col: 0}}
 	rt := &runEnv{done: make(chan struct{})}
 	stats := &SortStats{Budget: DefaultSortBudget}
-	s := &extSortIter{in: &rowSliceIter{rows: rows}, rt: rt, d: d, keys: keys,
+	s := &extSort{in: rowsInput(rt, rows), rt: rt, d: d, keys: keys, width: 2,
 		budget: DefaultSortBudget, tempDir: t.TempDir(), stats: stats}
-	got := drainIter(t, s)
+	got := drainOp(t, s)
 	if !rowsEqual(got, referenceSort(d, keys, rows)) {
 		t.Fatal("in-memory sort diverges from stable sort")
 	}
@@ -167,13 +187,13 @@ func TestExternalSortCleanupOnEarlyAbort(t *testing.T) {
 	dir := t.TempDir()
 	rt := &runEnv{done: make(chan struct{})}
 	stats := &SortStats{Budget: 2048}
-	s := &extSortIter{in: &rowSliceIter{rows: rows}, rt: rt, d: d,
+	s := &extSort{in: rowsInput(rt, rows), rt: rt, d: d, width: 3,
 		keys: []sortKey{{col: 0}}, budget: 2048, tempDir: dir, stats: stats}
 	rt.addCleanup(s.cleanup)
-	for i := 0; i < 5; i++ {
-		if !s.Next() {
-			t.Fatal("sort ended early")
-		}
+	defer func(n int) { batchRows = n }(batchRows)
+	batchRows = 5 // leave most of the merge undrained
+	if b, err := s.next(); b == nil || err != nil {
+		t.Fatalf("sort ended early: %v", err)
 	}
 	if stats.SpilledRuns < 2 {
 		t.Fatalf("fixture did not spill (runs=%d)", stats.SpilledRuns)
@@ -193,8 +213,8 @@ func TestTopKMatchesSortPrefix(t *testing.T) {
 	for _, k := range []int{0, 1, 7, 150, 300, 1000} {
 		rt := &runEnv{done: make(chan struct{})}
 		stats := &SortStats{Budget: DefaultSortBudget, Mode: "top-k", K: k}
-		it := &topKIter{in: &rowSliceIter{rows: rows}, rt: rt, d: d, keys: keys, k: k, stats: stats}
-		got := drainIter(t, it)
+		it := &topK{in: rowsInput(rt, rows), rt: rt, d: d, keys: keys, width: 2, k: k, stats: stats}
+		got := drainOp(t, it)
 		wantK := want
 		if k < len(want) {
 			wantK = want[:k]
@@ -211,9 +231,9 @@ func TestSpillRunCodecRoundtrip(t *testing.T) {
 	keys := []sortKey{{col: 0}}
 	rt := &runEnv{done: make(chan struct{})}
 	stats := &SortStats{Budget: 1}
-	s := &extSortIter{in: &rowSliceIter{rows: rows}, rt: rt, d: d, keys: keys,
+	s := &extSort{in: rowsInput(rt, rows), rt: rt, d: d, keys: keys, width: 4,
 		budget: 1, tempDir: t.TempDir(), stats: stats}
-	got := drainIter(t, s)
+	got := drainOp(t, s)
 	if !rowsEqual(got, referenceSort(d, keys, rows)) {
 		t.Fatal("roundtrip through spilled runs corrupted rows")
 	}

@@ -4,6 +4,7 @@ import (
 	"context"
 	"time"
 
+	"github.com/sparql-hsp/hsp/internal/dict"
 	"github.com/sparql-hsp/hsp/internal/exec"
 	"github.com/sparql-hsp/hsp/internal/rdf"
 	"github.com/sparql-hsp/hsp/internal/rewrite"
@@ -285,6 +286,7 @@ func resolveOpts(opts []ExecOption) exec.Options {
 type Rows struct {
 	db   *DB
 	vars []string
+	dict *dict.Dict // of the snapshot the compiled branches read
 
 	// Streaming state: compiled UNION branches, opened lazily so a
 	// branch's workers only start once the previous branch is drained.
@@ -390,7 +392,7 @@ func (db *DB) streamCompiled(ctx context.Context, cq *compiledQuery, cfg execCon
 	if head.Distinct && len(compiled) > 1 {
 		r.seen = map[string]bool{}
 	}
-	r.compiled = compiled
+	r.compiled, r.dict = compiled, compiled[0].Dict()
 	for _, v := range compiled[0].Vars() {
 		r.vars = append(r.vars, string(v))
 	}
@@ -461,7 +463,7 @@ func (r *Rows) Next() bool {
 			r.skip--
 			continue
 		}
-		r.decode()
+		r.row = r.decodeRow(r.run.Row())
 		if r.remain > 0 {
 			r.remain--
 		}
@@ -548,20 +550,15 @@ func (r *Rows) advanceBranch(i int) bool {
 	return true
 }
 
-// decode converts the run's current row to the public representation.
-func (r *Rows) decode() {
-	out := make(map[string]Term, len(r.vars))
-	for v, t := range r.run.Terms() {
-		out[string(v)] = externTerm(t)
-	}
-	r.row = out
-}
-
-// decodeRow converts a merged row to the public representation.
+// decodeRow converts an ID row to the public representation: one fresh
+// map per row (callers may keep it across Next), filled straight from
+// the dictionary.
 func (r *Rows) decodeRow(row exec.Row) map[string]Term {
 	out := make(map[string]Term, len(r.vars))
-	for v, t := range r.compiled[0].DecodeRow(row) {
-		out[string(v)] = externTerm(t)
+	for i, id := range row {
+		if id != dict.Invalid {
+			out[r.vars[i]] = externTerm(r.dict.Term(id))
+		}
 	}
 	return out
 }
