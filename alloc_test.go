@@ -13,11 +13,23 @@ import (
 // nothing.
 var raceEnabled bool
 
+// unionOrdered streams through the facade's ordered merge of two
+// sorted UNION branch runs.
+const unionOrdered = `
+PREFIX rdf:   <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+PREFIX bench: <http://localhost/vocabulary/bench/>
+PREFIX dc:    <http://purl.org/dc/elements/1.1/>
+SELECT ?x ?t
+WHERE { { ?x rdf:type bench:Article . ?x dc:title ?t }
+        UNION { ?x rdf:type bench:Inproceedings . ?x dc:title ?t } }
+ORDER BY ?t`
+
 // TestStreamAllocsPerRow is the allocation regression check through the
-// facade: streaming a prepared statement costs the one public map per
-// delivered row (two allocations for up to eight variables) and a
-// per-run set-up that does not grow with the result — at most three
-// allocations per result row at either dataset scale, and across them.
+// facade: streaming a prepared statement and decoding every row with
+// Row costs a per-run set-up that does not grow with the result — the
+// rows are decoded into the one map the Rows reuses, so doubling the
+// dataset adds at most 0.05 allocations per extra result row (batch-
+// sized growth steps below the facade, nothing per row).
 func TestStreamAllocsPerRow(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop batches at random")
@@ -31,6 +43,7 @@ func TestStreamAllocsPerRow(t *testing.T) {
 		{"SP4a", sp2bench.SP4a, GenerateSP2Bench},
 		{"Y3", yago.Y3, GenerateYAGO},
 		{"Y4", yago.Y4, GenerateYAGO},
+		{"UnionOrdered", unionOrdered, GenerateSP2Bench},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var rows [2]int
@@ -48,21 +61,23 @@ func TestStreamAllocsPerRow(t *testing.T) {
 					}
 					defer rs.Close()
 					for rows[i] = 0; rs.Next(); rows[i]++ {
-						_ = rs.Row()
+						if len(rs.Row()) == 0 {
+							t.Fatal("empty row")
+						}
 					}
 					if err := rs.Err(); err != nil {
 						t.Fatal(err)
 					}
 				}
 				allocs[i] = testing.AllocsPerRun(5, drain)
-				if perRow := allocs[i] / float64(rows[i]); perRow > 3 {
-					t.Errorf("scale %d: %.0f allocations for %d rows (%.2f per row, want <= 3)", scale, allocs[i], rows[i], perRow)
-				}
+			}
+			if rows[1] < rows[0]*3/2 {
+				t.Fatalf("result did not grow with the dataset: %d -> %d rows", rows[0], rows[1])
 			}
 			marginal := (allocs[1] - allocs[0]) / float64(rows[1]-rows[0])
-			t.Logf("rows %d -> %d, allocs/run %.0f -> %.0f (%.2f per extra row)", rows[0], rows[1], allocs[0], allocs[1], marginal)
-			if marginal > 3 {
-				t.Errorf("each extra result row costs %.2f allocations, want <= 3", marginal)
+			t.Logf("rows %d -> %d, allocs/run %.0f -> %.0f (%.3f per extra row)", rows[0], rows[1], allocs[0], allocs[1], marginal)
+			if marginal > 0.05 {
+				t.Errorf("each extra result row costs %.3f allocations, want <= 0.05", marginal)
 			}
 		})
 	}

@@ -74,6 +74,7 @@ import (
 	"github.com/sparql-hsp/hsp/internal/algebra"
 	"github.com/sparql-hsp/hsp/internal/cdp"
 	"github.com/sparql-hsp/hsp/internal/core"
+	"github.com/sparql-hsp/hsp/internal/dict"
 	"github.com/sparql-hsp/hsp/internal/exec"
 	"github.com/sparql-hsp/hsp/internal/rdf"
 	"github.com/sparql-hsp/hsp/internal/rdf3x"
@@ -147,6 +148,15 @@ func (t Term) internal() rdf.Term {
 	default:
 		return rdf.NewIRI(t.Value)
 	}
+}
+
+// decodeID is the one place a dictionary ID of a result row becomes a
+// public term; dict.Invalid — unbound — decodes to the zero Term.
+func decodeID(d *dict.Dict, id dict.ID) Term {
+	if id == dict.Invalid {
+		return Term{}
+	}
+	return externTerm(d.Term(id))
 }
 
 func externTerm(t rdf.Term) Term {
@@ -641,7 +651,8 @@ func (db *DB) Ask(query string, opts ...ExecOption) (bool, error) {
 
 // Result is a materialised query answer (a multiset of mappings).
 type Result struct {
-	res *exec.Result
+	res  *exec.Result
+	dict *dict.Dict // of the snapshot the result was computed on
 }
 
 // Vars returns the projected variable names, without '?'.
@@ -656,11 +667,14 @@ func (r *Result) Vars() []string {
 // Len returns the number of result mappings.
 func (r *Result) Len() int { return r.res.Len() }
 
-// Row returns result mapping i as variable→term.
+// Row returns result mapping i as variable→term: a fresh map the
+// caller owns, without an entry for a variable the row leaves unbound.
 func (r *Result) Row(i int) map[string]Term {
-	out := map[string]Term{}
-	for v, t := range r.res.Terms(i) {
-		out[string(v)] = externTerm(t)
+	out := make(map[string]Term, len(r.res.Vars))
+	for c, id := range r.res.Rows[i] {
+		if id != dict.Invalid {
+			out[string(r.res.Vars[c])] = decodeID(r.dict, id)
+		}
 	}
 	return out
 }

@@ -206,10 +206,8 @@ func (s *Server) streamStmt(ctx context.Context, w http.ResponseWriter, st *hsp.
 		s.execError(w, err, http.StatusBadRequest)
 		return
 	}
-	var first map[string]hsp.Term
-	if rows.Next() {
-		first = rows.Row()
-	} else if err := rows.Err(); err != nil {
+	primed := rows.Next()
+	if err := rows.Err(); !primed && err != nil {
 		rows.Close()
 		s.execError(w, err, http.StatusInternalServerError)
 		return
@@ -217,8 +215,7 @@ func (s *Server) streamStmt(ctx context.Context, w http.ResponseWriter, st *hsp.
 	w.Header().Set("Content-Type", format.contentType())
 	w.Header().Set(epochHeader, epochString(st.Epoch()))
 	w.WriteHeader(http.StatusOK)
-	f, _ := w.(http.Flusher)
-	encodeStream(newEncoder(format, w, f), rows, first)
+	encodeStream(format, w, rows, primed)
 }
 
 // RegisterResult is the /statements response body: the statement's
@@ -383,6 +380,25 @@ func (s *Server) executeMany(ctx context.Context, w http.ResponseWriter, st *hsp
 	json.NewEncoder(w).Encode(struct {
 		Results []any `json:"results"`
 	}{docs})
+}
+
+// jsonTerm is the SPARQL JSON results encoding of one RDF term, as the
+// materialised batch documents (executeMany) marshal it.
+type jsonTerm struct {
+	Type  string `json:"type"`
+	Value string `json:"value"`
+}
+
+// encodeTerm maps a public term to its JSON encoding.
+func encodeTerm(t hsp.Term) jsonTerm {
+	switch t.Kind {
+	case "literal":
+		return jsonTerm{Type: "literal", Value: t.Value}
+	case "blank":
+		return jsonTerm{Type: "bnode", Value: t.Value}
+	default:
+		return jsonTerm{Type: "uri", Value: t.Value}
+	}
 }
 
 // resultDoc renders a materialised result as the SPARQL JSON results

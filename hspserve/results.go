@@ -12,14 +12,15 @@
 package hspserve
 
 import (
-	"bufio"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 
 	"github.com/sparql-hsp/hsp"
+	"github.com/sparql-hsp/hsp/internal/rdf"
 )
 
 // Format selects a result serialisation.
@@ -52,156 +53,168 @@ type RowStream interface {
 	Vars() []string
 	// Next advances to the next row; false at the end or on error.
 	Next() bool
-	// Row returns the current row as variable → term.
-	Row() map[string]hsp.Term
+	// Values returns the current row positionally, aligned with Vars;
+	// the zero Term marks an unbound variable. Valid until Next.
+	Values() []hsp.Term
 	// Err returns the first error the stream encountered.
 	Err() error
 	// Close releases the stream's resources.
 	Close() error
 }
 
-// flushEvery is the row interval at which the encoders push buffered
-// output to the client.
-const flushEvery = 64
+const (
+	// flushEvery is the row interval at which the encoder pushes
+	// buffered output to the client.
+	flushEvery = 64
+	// bufferBytes is the buffered output size past which the encoder
+	// writes through without waiting for the row interval.
+	bufferBytes = 8 << 10
+)
 
-// resultEncoder is one format's streaming writer.
-type resultEncoder interface {
-	head(vars []string) error
-	row(row map[string]hsp.Term) error
-	// trailer emits the mid-stream error marker.
-	trailer(err error) error
-	// end finishes the document and flushes everything buffered.
-	end() error
+// encoder streams one result document. Rows are appended to buf as
+// bytes — terms straight from the dictionary's strings, through the
+// append-style writers of internal/rdf — and buf is written out every
+// flushEvery rows or bufferBytes bytes, so encoding a row allocates
+// nothing. Encoders are pooled: a response borrows one, with its
+// grown buffers, and returns it when the document is complete.
+type encoder struct {
+	w   io.Writer
+	f   http.Flusher // nil when w cannot flush
+	tsv bool
+
+	buf  []byte
+	rows int64
+	// names holds each variable's JSON member prefix, `"name":`,
+	// escaped once per response; offs[i]:offs[i+1] is variable i's.
+	names []byte
+	offs  []int
 }
 
-// newEncoder builds the encoder for a format over w, flushing through
-// f (when non-nil) as rows stream out.
-func newEncoder(format Format, w io.Writer, f http.Flusher) resultEncoder {
-	bw := bufio.NewWriterSize(w, 8<<10)
-	if format == FormatTSV {
-		return &tsvEncoder{bw: bw, f: f}
-	}
-	return &jsonEncoder{bw: bw, f: f}
-}
+var encoderPool = sync.Pool{New: func() any { return &encoder{buf: make([]byte, 0, 2*bufferBytes)} }}
 
-// maybeFlush pushes buffered bytes to the client every flushEvery rows.
-func maybeFlush(bw *bufio.Writer, f http.Flusher, rows int64) error {
-	if rows%flushEvery != 0 {
+// maxPooledBuffer bounds the buffer a pooled encoder may keep: one
+// grown by an outsized term is dropped instead of pinned.
+const maxPooledBuffer = 64 << 10
+
+// The constant parts of a JSON binding around its escaped value.
+const (
+	jsonURI     = `{"type":"uri","value":`
+	jsonLiteral = `{"type":"literal","value":`
+	jsonBNode   = `{"type":"bnode","value":`
+)
+
+// head starts the document: the projected variables, and for JSON the
+// opening of the bindings array.
+func (e *encoder) head(vars []string) error {
+	if e.tsv {
+		for i, v := range vars {
+			if i > 0 {
+				e.buf = append(e.buf, '\t')
+			}
+			e.buf = append(e.buf, '?')
+			e.buf = append(e.buf, v...)
+		}
+		e.buf = append(e.buf, '\n')
 		return nil
 	}
-	if err := bw.Flush(); err != nil {
-		return err
-	}
-	if f != nil {
-		f.Flush()
-	}
-	return nil
-}
-
-// jsonTerm is the SPARQL JSON results encoding of one RDF term.
-type jsonTerm struct {
-	Type  string `json:"type"`
-	Value string `json:"value"`
-}
-
-// encodeTerm maps a public term to its JSON encoding. Literal values
-// carry any @lang/^^<datatype> suffix verbatim, matching the facade's
-// term representation.
-func encodeTerm(t hsp.Term) jsonTerm {
-	switch t.Kind {
-	case "literal":
-		return jsonTerm{Type: "literal", Value: t.Value}
-	case "blank":
-		return jsonTerm{Type: "bnode", Value: t.Value}
-	default:
-		return jsonTerm{Type: "uri", Value: t.Value}
-	}
-}
-
-// jsonEncoder streams the SPARQL JSON results document.
-type jsonEncoder struct {
-	bw    *bufio.Writer
-	f     http.Flusher
-	vars  []string
-	rows  int64
-	fail  error // trailing error, emitted by end
-	first bool
-}
-
-func (e *jsonEncoder) head(vars []string) error {
-	e.vars = vars
-	e.first = true
 	names, err := json.Marshal(vars)
 	if err != nil {
 		return err
 	}
-	_, err = fmt.Fprintf(e.bw, `{"head":{"vars":%s},"results":{"bindings":[`, names)
-	return err
-}
-
-func (e *jsonEncoder) row(row map[string]hsp.Term) error {
-	if !e.first {
-		if err := e.bw.WriteByte(','); err != nil {
-			return err
-		}
+	e.buf = append(e.buf, `{"head":{"vars":`...)
+	e.buf = append(e.buf, names...)
+	e.buf = append(e.buf, `},"results":{"bindings":[`...)
+	e.names, e.offs = e.names[:0], append(e.offs[:0], 0)
+	for _, v := range vars {
+		e.names = append(rdf.AppendJSONString(e.names, v), ':')
+		e.offs = append(e.offs, len(e.names))
 	}
-	e.first = false
-	if err := e.bw.WriteByte('{'); err != nil {
-		return err
-	}
-	wrote := false
-	for _, v := range e.vars {
-		t, ok := row[v]
-		if !ok {
-			continue // unbound (OPTIONAL): omitted per the JSON results format
-		}
-		if wrote {
-			if err := e.bw.WriteByte(','); err != nil {
-				return err
-			}
-		}
-		wrote = true
-		name, err := json.Marshal(v)
-		if err != nil {
-			return err
-		}
-		val, err := json.Marshal(encodeTerm(t))
-		if err != nil {
-			return err
-		}
-		if _, err := fmt.Fprintf(e.bw, "%s:%s", name, val); err != nil {
-			return err
-		}
-	}
-	if err := e.bw.WriteByte('}'); err != nil {
-		return err
-	}
-	e.rows++
-	return maybeFlush(e.bw, e.f, e.rows)
-}
-
-func (e *jsonEncoder) trailer(err error) error {
-	e.fail = err
 	return nil
 }
 
-func (e *jsonEncoder) end() error {
-	if _, err := e.bw.WriteString("]}"); err != nil {
-		return err
-	}
-	if e.fail != nil {
-		msg, err := json.Marshal(e.fail.Error())
-		if err != nil {
-			return err
+// row appends one solution, positionally aligned with the head's
+// variables. Unbound variables (OPTIONAL) are omitted from a JSON
+// binding, per the results format, and leave an empty TSV cell.
+func (e *encoder) row(vals []hsp.Term) error {
+	if e.tsv {
+		for i, t := range vals {
+			if i > 0 {
+				e.buf = append(e.buf, '\t')
+			}
+			if t.Kind != "" {
+				e.buf = rdfTerm(t).AppendNTriples(e.buf)
+			}
 		}
-		if _, err := fmt.Fprintf(e.bw, `,"error":%s`, msg); err != nil {
-			return err
+		e.buf = append(e.buf, '\n')
+	} else {
+		if e.rows > 0 {
+			e.buf = append(e.buf, ',')
 		}
+		e.buf = append(e.buf, '{')
+		wrote := false
+		for i, t := range vals {
+			if t.Kind == "" {
+				continue
+			}
+			if wrote {
+				e.buf = append(e.buf, ',')
+			}
+			wrote = true
+			e.buf = append(e.buf, e.names[e.offs[i]:e.offs[i+1]]...)
+			// Literal values carry any @lang/^^<datatype> suffix
+			// verbatim, matching the facade's term representation.
+			switch t.Kind {
+			case "literal":
+				e.buf = append(e.buf, jsonLiteral...)
+			case "blank":
+				e.buf = append(e.buf, jsonBNode...)
+			default:
+				e.buf = append(e.buf, jsonURI...)
+			}
+			e.buf = append(rdf.AppendJSONString(e.buf, t.Value), '}')
+		}
+		e.buf = append(e.buf, '}')
 	}
-	if _, err := e.bw.WriteString("}\n"); err != nil {
-		return err
+	e.rows++
+	if e.rows%flushEvery == 0 {
+		return e.flush()
 	}
-	if err := e.bw.Flush(); err != nil {
+	if len(e.buf) >= bufferBytes {
+		return e.write()
+	}
+	return nil
+}
+
+// end finishes the document — with the trailing error marker when the
+// stream failed mid-way (fail non-nil) — and flushes everything.
+func (e *encoder) end(fail error) error {
+	if e.tsv {
+		if fail != nil {
+			e.buf = append(e.buf, "# error: "...)
+			e.buf = append(e.buf, strings.ReplaceAll(fail.Error(), "\n", " ")...)
+			e.buf = append(e.buf, '\n')
+		}
+	} else {
+		e.buf = append(e.buf, "]}"...)
+		if fail != nil {
+			e.buf = append(e.buf, `,"error":`...)
+			e.buf = rdf.AppendJSONString(e.buf, fail.Error())
+		}
+		e.buf = append(e.buf, "}\n"...)
+	}
+	return e.flush()
+}
+
+// write hands the buffered bytes to the response writer.
+func (e *encoder) write() error {
+	_, err := e.w.Write(e.buf)
+	e.buf = e.buf[:0]
+	return err
+}
+
+// flush writes the buffered bytes and pushes them to the client.
+func (e *encoder) flush() error {
+	if err := e.write(); err != nil {
 		return err
 	}
 	if e.f != nil {
@@ -210,94 +223,48 @@ func (e *jsonEncoder) end() error {
 	return nil
 }
 
-// tsvEncoder streams the SPARQL TSV results format.
-type tsvEncoder struct {
-	bw   *bufio.Writer
-	f    http.Flusher
-	vars []string
-	rows int64
-	fail error
+// rdfTerm converts a public term to the internal form the N-Triples
+// writer takes.
+func rdfTerm(t hsp.Term) rdf.Term {
+	switch t.Kind {
+	case "literal":
+		return rdf.NewLiteral(t.Value)
+	case "blank":
+		return rdf.NewBlank(t.Value)
+	default:
+		return rdf.NewIRI(t.Value)
+	}
 }
 
-func (e *tsvEncoder) head(vars []string) error {
-	e.vars = vars
-	cols := make([]string, len(vars))
-	for i, v := range vars {
-		cols[i] = "?" + v
-	}
-	_, err := e.bw.WriteString(strings.Join(cols, "\t") + "\n")
-	return err
-}
-
-func (e *tsvEncoder) row(row map[string]hsp.Term) error {
-	for i, v := range e.vars {
-		if i > 0 {
-			if err := e.bw.WriteByte('\t'); err != nil {
-				return err
-			}
-		}
-		if t, ok := row[v]; ok {
-			if _, err := e.bw.WriteString(t.String()); err != nil {
-				return err
-			}
-		}
-	}
-	if err := e.bw.WriteByte('\n'); err != nil {
-		return err
-	}
-	e.rows++
-	return maybeFlush(e.bw, e.f, e.rows)
-}
-
-func (e *tsvEncoder) trailer(err error) error {
-	e.fail = err
-	return nil
-}
-
-func (e *tsvEncoder) end() error {
-	if e.fail != nil {
-		if _, err := fmt.Fprintf(e.bw, "# error: %s\n", strings.ReplaceAll(e.fail.Error(), "\n", " ")); err != nil {
-			return err
-		}
-	}
-	if err := e.bw.Flush(); err != nil {
-		return err
-	}
-	if e.f != nil {
-		e.f.Flush()
-	}
-	return nil
-}
-
-// encodeStream drains rows into enc: head, every row, and — when the
-// stream dies mid-way — the trailing error marker, so a truncated run
-// is never mistaken for a complete result. first carries an already
-// pulled row (the handlers prime one row before committing a 200
-// status); pass nil when nothing was primed. The stream's error is
-// returned after being encoded, write errors short-circuit, and rows
-// is always closed.
-func encodeStream(enc resultEncoder, rows RowStream, first map[string]hsp.Term) error {
+// encodeStream drains rows into w as one result document: head, every
+// row, and — when the stream dies mid-way — the trailing error marker,
+// so a truncated run is never mistaken for a complete result. primed
+// says the caller has already advanced rows to its first row (the
+// handlers pull one row before committing a 200 status). The stream's
+// error is returned after being encoded, write errors short-circuit,
+// and rows is always closed.
+func encodeStream(format Format, w io.Writer, rows RowStream, primed bool) error {
 	defer rows.Close()
-	if err := enc.head(rows.Vars()); err != nil {
+	e := encoderPool.Get().(*encoder)
+	defer func() {
+		e.w, e.f = nil, nil
+		if cap(e.buf) <= maxPooledBuffer {
+			encoderPool.Put(e)
+		}
+	}()
+	e.w, e.tsv, e.buf, e.rows = w, format == FormatTSV, e.buf[:0], 0
+	e.f, _ = w.(http.Flusher)
+	if err := e.head(rows.Vars()); err != nil {
 		return err
 	}
-	if first != nil {
-		if err := enc.row(first); err != nil {
-			return err
-		}
-	}
-	for rows.Next() {
-		if err := enc.row(rows.Row()); err != nil {
+	for primed || rows.Next() {
+		primed = false
+		if err := e.row(rows.Values()); err != nil {
 			return err
 		}
 	}
 	streamErr := rows.Err()
-	if streamErr != nil {
-		if err := enc.trailer(streamErr); err != nil {
-			return err
-		}
-	}
-	if err := enc.end(); err != nil {
+	if err := e.end(streamErr); err != nil {
 		return err
 	}
 	return streamErr

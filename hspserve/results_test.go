@@ -9,6 +9,7 @@ package hspserve
 import (
 	"encoding/json"
 	"errors"
+	"os"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ import (
 // with err (or ends cleanly when err is nil).
 type fakeStream struct {
 	vars   []string
-	rows   []map[string]hsp.Term
+	rows   [][]hsp.Term // positional, zero Term = unbound
 	err    error
 	pos    int
 	closed bool
@@ -33,7 +34,7 @@ func (f *fakeStream) Next() bool {
 	}
 	return false
 }
-func (f *fakeStream) Row() map[string]hsp.Term { return f.rows[f.pos-1] }
+func (f *fakeStream) Values() []hsp.Term { return f.rows[f.pos-1] }
 func (f *fakeStream) Err() error {
 	if f.pos >= len(f.rows) {
 		return f.err
@@ -45,9 +46,9 @@ func (f *fakeStream) Close() error { f.closed = true; return nil }
 func twoRowStream(err error) *fakeStream {
 	return &fakeStream{
 		vars: []string{"s", "o"},
-		rows: []map[string]hsp.Term{
-			{"s": hsp.IRI("http://example.org/a"), "o": hsp.Literal("one")},
-			{"s": hsp.IRI("http://example.org/b")}, // ?o unbound
+		rows: [][]hsp.Term{
+			{hsp.IRI("http://example.org/a"), hsp.Literal("one")},
+			{hsp.IRI("http://example.org/b"), {}}, // ?o unbound
 		},
 		err: err,
 	}
@@ -60,7 +61,7 @@ func TestJSONTrailingErrorMarker(t *testing.T) {
 	injected := errors.New("sort spill: disk full")
 	fs := twoRowStream(injected)
 	var sb strings.Builder
-	err := encodeStream(newEncoder(FormatJSON, &sb, nil), fs, nil)
+	err := encodeStream(FormatJSON, &sb, fs, false)
 	if !errors.Is(err, injected) {
 		t.Fatalf("encodeStream error = %v, want the injected stream error", err)
 	}
@@ -93,7 +94,7 @@ func TestJSONTrailingErrorMarker(t *testing.T) {
 func TestTSVTrailingErrorMarker(t *testing.T) {
 	injected := errors.New("worker failed:\nexchange torn down")
 	var sb strings.Builder
-	err := encodeStream(newEncoder(FormatTSV, &sb, nil), twoRowStream(injected), nil)
+	err := encodeStream(FormatTSV, &sb, twoRowStream(injected), false)
 	if !errors.Is(err, injected) {
 		t.Fatalf("encodeStream error = %v, want the injected stream error", err)
 	}
@@ -124,9 +125,8 @@ func TestCleanStreamHasNoMarker(t *testing.T) {
 		if !fs.Next() {
 			t.Fatal("priming Next returned false")
 		}
-		first := fs.Row()
 		var sb strings.Builder
-		if err := encodeStream(newEncoder(format, &sb, nil), fs, first); err != nil {
+		if err := encodeStream(format, &sb, fs, true); err != nil {
 			t.Fatalf("%s: encodeStream = %v", format, err)
 		}
 		body := sb.String()
@@ -153,7 +153,7 @@ func TestCleanStreamHasNoMarker(t *testing.T) {
 func TestEmptyStream(t *testing.T) {
 	fs := &fakeStream{vars: []string{"x"}}
 	var sb strings.Builder
-	if err := encodeStream(newEncoder(FormatJSON, &sb, nil), fs, nil); err != nil {
+	if err := encodeStream(FormatJSON, &sb, fs, false); err != nil {
 		t.Fatalf("encodeStream = %v", err)
 	}
 	var doc struct {
@@ -165,5 +165,23 @@ func TestEmptyStream(t *testing.T) {
 	}
 	if len(doc.Head.Vars) != 1 || len(doc.Results.Bindings) != 0 {
 		t.Errorf("empty doc = %+v", doc)
+	}
+}
+
+// TestErrorMarkerGolden: the failed document of each format, byte for
+// byte as the map-per-row encoders this package had before wrote it
+// (testdata/error_marker.* were captured from them): the escaped JSON
+// "error" member after the bindings, the flattened TSV comment line.
+func TestErrorMarkerGolden(t *testing.T) {
+	for _, format := range []Format{FormatJSON, FormatTSV} {
+		var sb strings.Builder
+		encodeStream(format, &sb, twoRowStream(errors.New("worker failed:\n\"exchange\" <torn> down")), false)
+		want, err := os.ReadFile("testdata/error_marker." + string(format))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sb.String() != string(want) {
+			t.Errorf("%s body = %q, want %q", format, sb.String(), want)
+		}
 	}
 }

@@ -116,6 +116,29 @@ const sp5Ordered = sp5 + `
 ORDER BY ?isbn
 LIMIT 25`
 
+// optionalAbstract leaves ?ab and ?m unbound on most rows, in varying
+// combinations from one row to the next.
+const optionalAbstract = `
+PREFIX rdf:   <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+PREFIX bench: <http://localhost/vocabulary/bench/>
+PREFIX swrc:  <http://swrc.ontoware.org/ontology#>
+SELECT ?a ?ab ?m
+WHERE { ?a rdf:type bench:Article .
+        OPTIONAL { ?a bench:abstract ?ab }
+        OPTIONAL { ?a swrc:month ?m } }`
+
+// noSuchJournal matches nothing.
+const noSuchJournal = `
+PREFIX dc: <http://purl.org/dc/elements/1.1/>
+SELECT ?jrnl ?yr
+WHERE { ?jrnl dc:title "No such journal" .
+        ?jrnl <http://purl.org/dc/terms/issued> ?yr . }`
+
+const askJournal = `
+PREFIX rdf:   <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+PREFIX bench: <http://localhost/vocabulary/bench/>
+ASK { ?j rdf:type bench:Journal . }`
+
 // crossJoin cannot finish at testScale within any test deadline — the
 // fixture for timeout and slot-holding scenarios.
 const crossJoin = `SELECT ?a WHERE { ?a ?b ?c . ?d ?e ?f . }`
@@ -172,8 +195,33 @@ func TestGetPostParity(t *testing.T) {
 	}
 }
 
+// checkGolden compares a response body byte for byte with its golden
+// file under testdata (rewritten instead under -update).
+func checkGolden(t *testing.T, name, body string) {
+	t.Helper()
+	path := filepath.Join("testdata", name)
+	if *update {
+		if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatalf("golden file missing (run go test ./hspserve -run Golden -update): %v", err)
+	}
+	if body != string(want) {
+		t.Errorf("body differs from golden %s:\ngot:\n%q\nwant:\n%q", path, body, want)
+	}
+}
+
 // TestGoldenBodies locks the serialised result bodies of the SP²Bench
-// fixture queries against golden files (regenerate with -update).
+// fixture queries against golden files (regenerate with -update). The
+// optional, empty and ask documents were captured from the encoders
+// that marshalled a map per row and json.Marshal'ed every term (commit
+// 2f5cbab), which the byte-appending encoder replaced: unbound
+// variables omitted from JSON bindings and left as empty TSV cells,
+// the empty bindings array, the boolean forms.
 func TestGoldenBodies(t *testing.T) {
 	_, ts := newServer(t, hspserve.Config{})
 	cases := []struct {
@@ -185,6 +233,12 @@ func TestGoldenBodies(t *testing.T) {
 		{"sp5.tsv", sp5, "tsv"},
 		{"sp5_ordered.json", sp5Ordered, "json"},
 		{"sp5_ordered.tsv", sp5Ordered, "tsv"},
+		{"optional.json", optionalAbstract, "json"},
+		{"optional.tsv", optionalAbstract, "tsv"},
+		{"empty.json", noSuchJournal, "json"},
+		{"empty.tsv", noSuchJournal, "tsv"},
+		{"ask.json", askJournal, "json"},
+		{"ask.tsv", askJournal, "tsv"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -195,20 +249,7 @@ func TestGoldenBodies(t *testing.T) {
 			if resp.Header.Get("X-HSP-Epoch") != "0" {
 				t.Errorf("X-HSP-Epoch = %q, want 0", resp.Header.Get("X-HSP-Epoch"))
 			}
-			path := filepath.Join("testdata", c.name)
-			if *update {
-				if err := os.WriteFile(path, []byte(body), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				return
-			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("golden file missing (run go test ./hspserve -run TestGoldenBodies -update): %v", err)
-			}
-			if body != string(want) {
-				t.Errorf("body differs from golden %s:\ngot:\n%s\nwant:\n%s", path, body, want)
-			}
+			checkGolden(t, c.name, body)
 			if c.format == "json" {
 				var doc map[string]any
 				if err := json.Unmarshal([]byte(body), &doc); err != nil {
@@ -653,5 +694,55 @@ SELECT ?j WHERE { ?j dc:title $title }`
 	status, body, _ := get(t, ts.Client(), ts.URL+"/sparql?query="+url.QueryEscape(q), nil)
 	if status != http.StatusBadRequest || !strings.Contains(body, "unbound parameter") {
 		t.Errorf("unbound param = %d %q, want 400 unbound parameter", status, body)
+	}
+}
+
+// hostileDB holds terms that stress every escaping rule of both result
+// formats: JSON's quote/backslash/control/HTML-sensitive/U+2028-9/
+// invalid-UTF-8 handling and N-Triples' literal escapes, on literals,
+// IRIs and blank nodes.
+func hostileDB(t *testing.T) *hsp.DB {
+	t.Helper()
+	b := hsp.NewDataset()
+	p := hsp.IRI("http://example.org/p")
+	for i, v := range []string{
+		"plain",
+		`quote " and backslash \`,
+		"newline\nreturn\rtab\t",
+		"html <b>&amp;</b>",
+		"controls \x00\x01\x08\x0c\x1f\x7f",
+		"separators \u2028 and \u2029",
+		"invalid \xff\xfe utf8 \xc3",
+		"unicode é ü 漢字 😀",
+		`"1940"^^<http://www.w3.org/2001/XMLSchema#integer>`,
+		"",
+	} {
+		if err := b.Add(hsp.Triple{S: hsp.IRI(fmt.Sprintf("http://example.org/s%02d", i)), P: p, O: hsp.Literal(v)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, tr := range []hsp.Triple{
+		{S: hsp.Blank("b0"), P: p, O: hsp.IRI("http://example.org/o?x=1&y=<2>")},
+		{S: hsp.IRI("http://example.org/é\"quoted\""), P: hsp.IRI("http://example.org/q"), O: hsp.Blank("b\t1")},
+	} {
+		if err := b.Add(tr); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return b.Build()
+}
+
+// TestGoldenHostileTerms locks the escaping of both formats; the
+// goldens are what the json.Marshal / Term.String encoders of commit
+// 2f5cbab served for this dataset.
+func TestGoldenHostileTerms(t *testing.T) {
+	_, ts := newServer(t, hspserve.Config{DB: hostileDB(t)})
+	const query = `SELECT ?s ?o WHERE { { ?s <http://example.org/p> ?o } UNION { ?s <http://example.org/q> ?o } }`
+	for _, format := range []string{"json", "tsv"} {
+		status, body, _ := get(t, ts.Client(), ts.URL+"/sparql?format="+format+"&query="+url.QueryEscape(query), nil)
+		if status != http.StatusOK {
+			t.Fatalf("status = %d, body %s", status, body)
+		}
+		checkGolden(t, "hostile."+format, body)
 	}
 }

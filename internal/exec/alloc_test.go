@@ -61,3 +61,24 @@ func TestRunAllocsIndependentOfRows(t *testing.T) {
 		})
 	}
 }
+
+// TestRowSetAllocs: the DISTINCT filter builds its key in a reused
+// buffer, so a first-seen row costs the one string the map keeps and a
+// duplicate row costs nothing.
+func TestRowSetAllocs(t *testing.T) {
+	s := NewRowSet(1024)
+	row := Row{0, 7, 1 << 40}
+	if !s.Add(row) || s.Add(row) {
+		t.Fatal("Add must report a row new exactly once")
+	}
+	if !s.Add(Row{0, 7}) || !s.Add(Row{7, 0, 1 << 40}) {
+		t.Fatal("rows of another width or column order are distinct")
+	}
+	if dup := testing.AllocsPerRun(100, func() { s.Add(row) }); dup != 0 {
+		t.Errorf("a duplicate row costs %.1f allocations, want 0", dup)
+	}
+	next := row[1]
+	if fresh := testing.AllocsPerRun(100, func() { next++; s.Add(Row{0, next, 1 << 40}) }); fresh > 1 {
+		t.Errorf("a first-seen row costs %.1f allocations, want <= 1", fresh)
+	}
+}

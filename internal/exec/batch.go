@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"slices"
 	"strings"
 	"sync"
@@ -280,18 +281,32 @@ func (jc *joinCols) pad(out *batch, y [][]dict.ID, j int) {
 	out.n++
 }
 
-// RowKey returns a compact identity key over every column of a row,
-// the dedup key for DISTINCT handling (shared with the facade's
-// cross-branch UNION deduplication).
-func RowKey(r Row) string {
-	var b strings.Builder
-	b.Grow(len(r) * 8)
+// RowSet is the DISTINCT filter over ID rows — one per run, and one in
+// the facade for deduplication across UNION branches. The identity key
+// of a row (every column, eight bytes each) is built in a buffer the
+// set reuses, so testing a duplicate row allocates nothing and a
+// first-seen row costs the one string the map keeps.
+type RowSet struct {
+	seen map[string]struct{}
+	key  []byte
+}
+
+// NewRowSet returns an empty set sized for about n rows.
+func NewRowSet(n int) *RowSet {
+	return &RowSet{seen: make(map[string]struct{}, n)}
+}
+
+// Add records r and reports whether it was absent before.
+func (s *RowSet) Add(r Row) bool {
+	s.key = s.key[:0]
 	for _, v := range r {
-		for i := 0; i < 8; i++ {
-			b.WriteByte(byte(v >> (8 * i)))
-		}
+		s.key = binary.LittleEndian.AppendUint64(s.key, v)
 	}
-	return b.String()
+	if _, dup := s.seen[string(s.key)]; dup {
+		return false
+	}
+	s.seen[string(s.key)] = struct{}{}
+	return true
 }
 
 func compareIDs(d *dict.Dict, op sparql.CompareOp, a, b dict.ID) bool {

@@ -138,14 +138,12 @@ func (r *Result) Append(o *Result) error {
 // Dedup removes duplicate rows in place, preserving first occurrences
 // (SELECT DISTINCT across UNION branches).
 func (r *Result) Dedup() {
-	seen := make(map[string]bool, len(r.Rows))
+	seen := NewRowSet(len(r.Rows))
 	w := 0
 	for _, row := range r.Rows {
-		k := RowKey(row)
-		if seen[k] {
+		if !seen.Add(row) {
 			continue
 		}
-		seen[k] = true
 		r.Rows[w] = row
 		w++
 	}

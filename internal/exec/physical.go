@@ -998,18 +998,17 @@ func (c *compiler) compileAggScan(s *algebra.Scan, prefix []dict.ID, params []pr
 // be Closed (or drained) before its Metrics are read. Rows returned by
 // Row are valid until the next call to Next.
 type Run struct {
-	c        *Compiled
-	rt       *runEnv
-	root     input
-	b        *batch // current root batch; row i is the cursor
-	i        int
-	distinct bool
-	ask      bool
-	seen     map[string]bool
-	row      Row
-	err      error
-	done     bool
-	closed   bool
+	c      *Compiled
+	rt     *runEnv
+	root   input
+	b      *batch // current root batch; row i is the cursor
+	i      int
+	ask    bool
+	seen   *RowSet // DISTINCT filter; nil without DISTINCT
+	row    Row
+	err    error
+	done   bool
+	closed bool
 }
 
 // Run starts a new execution. Parallel runs spawn their build-side
@@ -1056,10 +1055,9 @@ func (c *Compiled) runCtx(ctx context.Context, opts Options, countsOnly bool) *R
 		}
 	}
 	if q := c.plan.Query; q != nil {
-		r.distinct = q.Distinct
 		r.ask = q.Ask
-		if r.distinct {
-			r.seen = map[string]bool{}
+		if q.Distinct {
+			r.seen = NewRowSet(0)
 		}
 	}
 	if ctx != nil {
@@ -1107,12 +1105,8 @@ func (r *Run) Next() bool {
 			r.i = 0
 		}
 		r.b.row(r.i, r.row)
-		if r.distinct {
-			k := RowKey(r.row)
-			if r.seen[k] {
-				continue
-			}
-			r.seen[k] = true
+		if r.seen != nil && !r.seen.Add(r.row) {
+			continue
 		}
 		if r.ask {
 			r.done = true // ASK needs only existence

@@ -11,6 +11,7 @@ package rdf
 import (
 	"fmt"
 	"strings"
+	"unicode/utf8"
 )
 
 // TermKind discriminates the three kinds of RDF terms.
@@ -61,13 +62,26 @@ func (t Term) IsZero() bool { return t.Kind == IRI && t.Value == "" }
 
 // String renders the term in N-Triples syntax.
 func (t Term) String() string {
+	var buf [96]byte // most terms fit: the string copy is then the only allocation
+	return string(t.AppendNTriples(buf[:0]))
+}
+
+// AppendNTriples appends the term in N-Triples syntax to dst and
+// returns the extended slice — the form the result encoders write
+// with, so no term is rendered through an intermediate string.
+func (t Term) AppendNTriples(dst []byte) []byte {
 	switch t.Kind {
 	case Literal:
-		return `"` + escapeLiteral(t.Value) + `"`
+		dst = append(dst, '"')
+		dst = appendEscapedLiteral(dst, t.Value)
+		return append(dst, '"')
 	case Blank:
-		return "_:" + t.Value
+		dst = append(dst, "_:"...)
+		return append(dst, t.Value...)
 	default:
-		return "<" + t.Value + ">"
+		dst = append(dst, '<')
+		dst = append(dst, t.Value...)
+		return append(dst, '>')
 	}
 }
 
@@ -108,26 +122,30 @@ func (t Triple) Valid() bool {
 	return true
 }
 
-func escapeLiteral(s string) string {
+// appendEscapedLiteral appends a literal's text with the N-Triples
+// escapes applied. Text without an escapable character is copied byte
+// for byte; text with one is re-encoded rune by rune, which also turns
+// invalid UTF-8 into U+FFFD — the output has always been this way and
+// served result bodies are compared byte for byte across versions.
+func appendEscapedLiteral(dst []byte, s string) []byte {
 	if !strings.ContainsAny(s, "\"\\\n\r\t") {
-		return s
+		return append(dst, s...)
 	}
-	var b strings.Builder
 	for _, r := range s {
 		switch r {
 		case '"':
-			b.WriteString(`\"`)
+			dst = append(dst, '\\', '"')
 		case '\\':
-			b.WriteString(`\\`)
+			dst = append(dst, '\\', '\\')
 		case '\n':
-			b.WriteString(`\n`)
+			dst = append(dst, '\\', 'n')
 		case '\r':
-			b.WriteString(`\r`)
+			dst = append(dst, '\\', 'r')
 		case '\t':
-			b.WriteString(`\t`)
+			dst = append(dst, '\\', 't')
 		default:
-			b.WriteRune(r)
+			dst = utf8.AppendRune(dst, r)
 		}
 	}
-	return b.String()
+	return dst
 }

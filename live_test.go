@@ -8,6 +8,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
 	"runtime"
 	"strings"
 	"sync"
@@ -290,7 +291,7 @@ func TestLiveConcurrentReadersWriter(t *testing.T) {
 								}
 								var rows []map[string]Term
 								for rs.Next() {
-									rows = append(rows, rs.Row())
+									rows = append(rows, maps.Clone(rs.Row()))
 								}
 								if err := rs.Close(); err != nil {
 									errs <- err

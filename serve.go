@@ -301,7 +301,7 @@ func (db *DB) executeCompiledOpts(ctx context.Context, cq *compiledQuery, cfg ex
 	if head.Offset > 0 || head.Limit >= 0 {
 		acc.Slice(head.Offset, head.Limit)
 	}
-	return &Result{res: acc}, nil
+	return &Result{res: acc, dict: cq.compiled[0].Dict()}, nil
 }
 
 // QueryContext is Query bound to a caller context: cancelling ctx (or

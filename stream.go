@@ -273,6 +273,13 @@ func resolveOpts(opts []ExecOption) exec.Options {
 //	}
 //	if err := rows.Err(); err != nil { ... }
 //
+// Next only moves a cursor over dictionary IDs; the current row is
+// decoded to terms when Row or Values first asks for it, into storage
+// the Rows owns and reuses, so delivering a row allocates nothing.
+// What Row and Values return is therefore valid only until the next
+// call to Next: keep a row with maps.Clone(rows.Row()) or
+// slices.Clone(rows.Values()).
+//
 // Queries with ORDER BY stream too: the sort operator buffers rows up
 // to a memory budget (WithSortSpill) and spills sorted runs to temp
 // files merged back on the fly, so ordered results of any size arrive
@@ -295,23 +302,32 @@ type Rows struct {
 	opts     exec.Options
 	branch   int
 	run      *exec.Run
-	seen     map[string]bool // cross-branch DISTINCT
-	skip     int             // remaining OFFSET rows
-	remain   int             // remaining LIMIT rows (-1: unlimited)
+	seen     *exec.RowSet // cross-branch DISTINCT; nil when not needed
+	skip     int          // remaining OFFSET rows
+	remain   int          // remaining LIMIT rows (-1: unlimited)
 
 	// Ordered-merge state (UNION with ORDER BY): every branch runs
 	// with a sort operator and the streams merge here, smallest row
 	// first.
 	mergeCmp  func(a, b exec.Row) int
-	merge     []*exec.Run
-	heads     []exec.Row // current head row per branch; nil = exhausted
+	merge     []*exec.Run // nil entry = branch exhausted
+	heads     []exec.Row  // current head row per live branch, storage reused
+	emitted   exec.Row    // the merged row last emitted, copied out of heads
 	mergeDone bool
 
 	// sink receives per-operator counters as each branch run closes
 	// (WithMetricsSink); nil when no sink is configured.
 	sink func(OpStats)
 
-	row    map[string]Term
+	// The current row: cur is its ID form, owned by the run (or emitted)
+	// and overwritten by the next advance; vals and row are its decoded
+	// forms, filled on demand and reused from row to row.
+	cur     exec.Row
+	vals    []Term
+	row     map[string]Term
+	valsSet bool
+	rowSet  bool
+
 	err    error
 	closed bool
 }
@@ -390,12 +406,13 @@ func (db *DB) streamCompiled(ctx context.Context, cq *compiledQuery, cfg execCon
 		r.remain = head.Limit
 	}
 	if head.Distinct && len(compiled) > 1 {
-		r.seen = map[string]bool{}
+		r.seen = exec.NewRowSet(0)
 	}
 	r.compiled, r.dict = compiled, compiled[0].Dict()
 	for _, v := range compiled[0].Vars() {
 		r.vars = append(r.vars, string(v))
 	}
+	r.vals = make([]Term, len(r.vars))
 	if len(head.OrderBy) > 0 && len(compiled) > 1 {
 		cmp, err := compiled[0].RowComparator(head.OrderBy)
 		if err != nil {
@@ -424,6 +441,7 @@ func (r *Rows) Vars() []string { return append([]string(nil), r.vars...) }
 // Next advances to the next row, returning false at the end of the
 // stream, after Close, or on error (check Err).
 func (r *Rows) Next() bool {
+	r.cur, r.valsSet, r.rowSet = nil, false, false
 	if r.closed || r.err != nil {
 		return false
 	}
@@ -431,107 +449,101 @@ func (r *Rows) Next() bool {
 		r.Close()
 		return false
 	}
+	for {
+		row, ok := r.advance()
+		if !ok {
+			return false
+		}
+		if r.seen != nil && !r.seen.Add(row) {
+			continue
+		}
+		if r.skip > 0 {
+			r.skip--
+			continue
+		}
+		if r.remain > 0 {
+			r.remain--
+		}
+		r.cur = row
+		return true
+	}
+}
+
+// advance pulls the next ID row ahead of the cross-branch DISTINCT,
+// OFFSET and LIMIT: the branches one after the other, or their ordered
+// merge. The row stays valid until the next advance.
+func (r *Rows) advance() (exec.Row, bool) {
 	if r.mergeCmp != nil {
-		return r.nextMerged()
+		return r.advanceMerged()
 	}
 	for {
 		if r.run == nil {
 			if r.branch >= len(r.compiled) {
-				return false
+				return nil, false
 			}
 			r.run = r.compiled[r.branch].RunContext(r.ctx, r.opts)
 			r.branch++
 		}
-		if !r.run.Next() {
-			if err := r.run.Err(); err != nil {
-				r.err = err
-				r.Close()
-				return false
-			}
-			r.finishRun(r.run)
-			r.run = nil
-			continue
+		if r.run.Next() {
+			return r.run.Row(), true
 		}
-		if r.seen != nil {
-			k := exec.RowKey(r.run.Row())
-			if r.seen[k] {
-				continue
-			}
-			r.seen[k] = true
+		if err := r.run.Err(); err != nil {
+			r.err = err
+			r.Close()
+			return nil, false
 		}
-		if r.skip > 0 {
-			r.skip--
-			continue
-		}
-		r.row = r.decodeRow(r.run.Row())
-		if r.remain > 0 {
-			r.remain--
-		}
-		return true
+		r.finishRun(r.run)
+		r.run = nil
 	}
 }
 
-// nextMerged advances the ordered merge over the sorted branch
+// advanceMerged advances the ordered merge over the sorted branch
 // streams of a UNION with ORDER BY: all branches run concurrently and
 // the smallest head row (ties to the earliest branch, matching the
 // stable materialised sort) is emitted next.
-func (r *Rows) nextMerged() bool {
+func (r *Rows) advanceMerged() (exec.Row, bool) {
 	if r.mergeDone {
-		return false
+		return nil, false
 	}
 	if r.merge == nil {
 		r.merge = make([]*exec.Run, len(r.compiled))
 		r.heads = make([]exec.Row, len(r.compiled))
+		r.emitted = make(exec.Row, 0, len(r.vars))
 		for i, c := range r.compiled {
 			r.merge[i] = c.RunContext(r.ctx, r.opts)
 			if !r.advanceBranch(i) && r.err != nil {
 				r.Close()
-				return false
+				return nil, false
 			}
 		}
 	}
-	for {
-		best := -1
-		for i, h := range r.heads {
-			if h == nil {
-				continue
-			}
-			if best < 0 || r.mergeCmp(h, r.heads[best]) < 0 {
-				best = i
-			}
-		}
-		if best < 0 {
-			r.mergeDone = true
-			r.Close()
-			return false
-		}
-		row := r.heads[best]
-		if !r.advanceBranch(best) && r.err != nil {
-			r.Close()
-			return false
-		}
-		if r.seen != nil {
-			k := exec.RowKey(row)
-			if r.seen[k] {
-				continue
-			}
-			r.seen[k] = true
-		}
-		if r.skip > 0 {
-			r.skip--
+	best := -1
+	for i, run := range r.merge {
+		if run == nil {
 			continue
 		}
-		r.row = r.decodeRow(row)
-		if r.remain > 0 {
-			r.remain--
+		if best < 0 || r.mergeCmp(r.heads[i], r.heads[best]) < 0 {
+			best = i
 		}
-		return true
 	}
+	if best < 0 {
+		r.mergeDone = true
+		r.Close()
+		return nil, false
+	}
+	// The branch's head storage is refilled by the advance below, so
+	// the emitted row moves to storage of its own first.
+	r.emitted = append(r.emitted[:0], r.heads[best]...)
+	if !r.advanceBranch(best) && r.err != nil {
+		r.Close()
+		return nil, false
+	}
+	return r.emitted, true
 }
 
-// advanceBranch pulls branch i's next head row, copying it so it stays
-// valid while other branches advance; exhausted branches close their
-// run immediately.
+// advanceBranch pulls branch i's next head row, copying it into the
+// branch's reused head storage so it stays valid while other branches
+// advance; exhausted branches close their run immediately.
 func (r *Rows) advanceBranch(i int) bool {
 	run := r.merge[i]
 	if run == nil {
@@ -543,29 +555,55 @@ func (r *Rows) advanceBranch(i int) bool {
 		}
 		r.finishRun(run)
 		r.merge[i] = nil
-		r.heads[i] = nil
 		return false
 	}
-	r.heads[i] = append(exec.Row(nil), run.Row()...)
+	r.heads[i] = append(r.heads[i][:0], run.Row()...)
 	return true
 }
 
-// decodeRow converts an ID row to the public representation: one fresh
-// map per row (callers may keep it across Next), filled straight from
-// the dictionary.
-func (r *Rows) decodeRow(row exec.Row) map[string]Term {
-	out := make(map[string]Term, len(r.vars))
-	for i, id := range row {
-		if id != dict.Invalid {
-			out[r.vars[i]] = externTerm(r.dict.Term(id))
-		}
+// Values returns the current row positionally, aligned with Vars: one
+// term per projected variable, the zero Term (empty Kind) for a
+// variable the row leaves unbound. The slice is owned by the Rows and
+// overwritten by the next row: it is valid until the next call to Next
+// (slices.Clone keeps it). Nil when there is no current row.
+func (r *Rows) Values() []Term {
+	if r.cur == nil {
+		return nil
 	}
-	return out
+	if !r.valsSet {
+		for i, id := range r.cur {
+			r.vals[i] = decodeID(r.dict, id)
+		}
+		r.valsSet = true
+	}
+	return r.vals
 }
 
-// Row returns the current row as variable→term; valid until the next
-// call to Next.
-func (r *Rows) Row() map[string]Term { return r.row }
+// Row returns the current row as variable→term, without an entry for a
+// variable the row leaves unbound. The map is owned by the Rows and
+// refilled for the next row: it is valid until the next call to Next
+// (maps.Clone keeps it). Nil when there is no current row.
+func (r *Rows) Row() map[string]Term {
+	if r.cur == nil {
+		return nil
+	}
+	if !r.rowSet {
+		if r.row == nil {
+			r.row = make(map[string]Term, len(r.vars))
+		}
+		// Every variable is either set or deleted, so nothing of the
+		// previous row survives and the map is never rebuilt.
+		for i, t := range r.Values() {
+			if t.Kind != "" {
+				r.row[r.vars[i]] = t
+			} else {
+				delete(r.row, r.vars[i])
+			}
+		}
+		r.rowSet = true
+	}
+	return r.row
+}
 
 // Err returns the first error encountered while streaming, if any.
 func (r *Rows) Err() error { return r.err }

@@ -1,6 +1,8 @@
 package hsp
 
 import (
+	"maps"
+	"reflect"
 	"runtime"
 	"sort"
 	"strings"
@@ -243,5 +245,71 @@ func TestStreamVarsAndReuse(t *testing.T) {
 	}
 	if res.Len() != 1 {
 		t.Fatalf("materialised rows = %d, want 1", res.Len())
+	}
+}
+
+// TestRowReusedAcrossOptionalRows: Row and Values hand out storage the
+// Rows reuses from row to row, so a variable an OPTIONAL leaves unbound
+// in row n+1 must be absent from the map (and zero in Values) even
+// though row n bound it — and a row kept with maps.Clone must survive
+// the rows after it.
+func TestRowReusedAcrossOptionalRows(t *testing.T) {
+	db := GenerateSP2Bench(3000, 1)
+	const q = `
+PREFIX rdf:   <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
+PREFIX bench: <http://localhost/vocabulary/bench/>
+PREFIX swrc:  <http://swrc.ontoware.org/ontology#>
+SELECT ?a ?m
+WHERE { ?a rdf:type bench:Article . OPTIONAL { ?a swrc:month ?m } }`
+	res, err := db.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows, err := db.Stream(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	if rows.Row() != nil || rows.Values() != nil {
+		t.Errorf("a row before the first Next: %v / %v", rows.Row(), rows.Values())
+	}
+	var kept []map[string]Term
+	var reused map[string]Term
+	wasBound, dropped := false, 0
+	for rows.Next() {
+		vals, row := rows.Values(), rows.Row()
+		if reused != nil && reflect.ValueOf(row).Pointer() != reflect.ValueOf(reused).Pointer() {
+			t.Fatal("Row returned a fresh map instead of the reused one")
+		}
+		reused = row
+		m, bound := row["m"]
+		if bound != (vals[1] != Term{}) || m != vals[1] || row["a"] != vals[0] {
+			t.Fatalf("row %d: Row() = %v disagrees with Values() = %v", len(kept), row, vals)
+		}
+		if !bound && len(row) != 1 {
+			t.Fatalf("row %d: unbound ?m left a stale entry: %v", len(kept), row)
+		}
+		if wasBound && !bound {
+			dropped++
+		}
+		wasBound = bound
+		kept = append(kept, maps.Clone(row))
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if dropped == 0 {
+		t.Fatal("fixture never follows a row binding ?m with one that does not")
+	}
+	if rows.Row() != nil || rows.Values() != nil {
+		t.Errorf("a row after the stream ended: %v / %v", rows.Row(), rows.Values())
+	}
+	var got []string
+	for _, row := range kept {
+		got = append(got, rowLine(row))
+	}
+	sort.Strings(got)
+	if want := materialisedLines(t, res); !reflect.DeepEqual(got, want) {
+		t.Errorf("cloned rows differ from the materialised result:\ngot  %v\nwant %v", got, want)
 	}
 }
