@@ -82,3 +82,35 @@ func TestStreamAllocsPerRow(t *testing.T) {
 		})
 	}
 }
+
+// TestPrepareCacheHitAllocs pins what a plan-cache hit costs Prepare:
+// a byte-identical repeat is served by the exact-text alias, so it
+// parses, plans and compiles nothing and builds its cache key without
+// allocating. Two allocations remain — the option fold's config and
+// the statement — after a commit too, since an HSP plan outlives the
+// epoch it was planned at.
+func TestPrepareCacheHitAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	ctx := context.Background()
+	db := openLive(t, 8)
+	opts := []ExecOption{WithPlanCache(16)}
+	prepare := func() {
+		st, err := db.Prepare(ctx, liveQuery, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Close()
+	}
+	prepare() // the miss that plans and caches
+	advanceGeneration(t, db, 8, 0)
+	allocs := testing.AllocsPerRun(100, prepare)
+	if s := db.PlanCacheStats(); s.Misses != 1 || s.Invalidations != 0 {
+		t.Fatalf("plan cache = %+v, want every repeat to hit", s)
+	}
+	t.Logf("cache-hit Prepare: %.1f allocations", allocs)
+	if allocs > 2 {
+		t.Errorf("cache-hit Prepare allocates %.1f times, want at most 2", allocs)
+	}
+}

@@ -739,13 +739,13 @@ func benchCompileQuery(b *testing.B, cached bool) {
 	cfg := configOf(nil)
 	if cached {
 		cfg.planCache = 16
-		if _, err := db.compileQuery(db.loadState(), text, cfg); err != nil { // warm the cache
+		if _, _, err := db.compileQuery(db.loadState(), text, cfg); err != nil { // warm the cache
 			b.Fatal(err)
 		}
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := db.compileQuery(db.loadState(), text, cfg); err != nil {
+		if _, _, err := db.compileQuery(db.loadState(), text, cfg); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -28,6 +28,7 @@ import (
 	"weak"
 
 	"github.com/sparql-hsp/hsp/internal/dict"
+	"github.com/sparql-hsp/hsp/internal/rdf"
 	"github.com/sparql-hsp/hsp/internal/store"
 	"github.com/sparql-hsp/hsp/internal/wal"
 )
@@ -262,22 +263,23 @@ func replayWAL(ctx context.Context, log *wal.Log, base *store.Snapshot) (*store.
 
 // replayCommit applies one logged commit to the snapshot. The record
 // is term-level: insert terms re-intern through the live dictionary
-// exactly as the original commit did, delete terms only look up (an
-// unknown term means the triple cannot be present).
+// exactly as the original commit did (in one batch), delete terms only
+// look up (an unknown term means the triple cannot be present).
 func replayCommit(ctx context.Context, snap *store.Snapshot, c *wal.Commit) (*store.Snapshot, error) {
 	d := snap.Store().Dict()
-	ids := make([]dict.ID, len(c.Terms))
 	var delta store.Delta
+	insTerms := make([]rdf.Term, 0, 3*len(c.Inserts))
 	for _, tr := range c.Inserts {
-		var t store.Triple
-		for j, ix := range tr {
-			if ids[ix] == dict.Invalid {
-				ids[ix] = d.Encode(c.Terms[ix])
-			}
-			t[j] = ids[ix]
+		for _, ix := range tr {
+			insTerms = append(insTerms, c.Terms[ix])
 		}
-		delta.Inserts = append(delta.Inserts, t)
 	}
+	insIDs := d.EncodeAll(insTerms)
+	delta.Inserts = make([]store.Triple, len(c.Inserts))
+	for i := range delta.Inserts {
+		delta.Inserts[i] = store.Triple(insIDs[3*i : 3*i+3])
+	}
+	ids := make([]dict.ID, len(c.Terms)) // delete-term lookups, memoised
 	for _, tr := range c.Deletes {
 		var t store.Triple
 		known := true

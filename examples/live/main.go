@@ -1,8 +1,9 @@
 // Command live demonstrates the live-dataset API: MVCC snapshots, the
 // transactional update path (Update → Insert/Delete → Commit), epoch
-// monotonicity, snapshot pinning of in-flight readers, and the
-// epoch-aware plan cache invalidating stale compiled plans after a
-// commit.
+// monotonicity, snapshot pinning of in-flight readers, and the plan
+// cache across a commit: the HSP plan survives it and runs on the new
+// snapshot, while a cost-based plan built from the old statistics is
+// invalidated.
 package main
 
 import (
@@ -65,8 +66,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// ... while a fresh query (same cache!) re-plans against epoch 1 —
-	// the stale cached plan is invalidated, never served.
+	// ... while a fresh query (same cache!) reads epoch 1. The HSP plan
+	// reads no statistics, so the cached plan is reused and runs on the
+	// new snapshot: a hit, no invalidation.
 	res, err := db.QueryContext(ctx, query, hsp.WithPlanCache(64))
 	if err != nil {
 		log.Fatal(err)
@@ -77,4 +79,25 @@ func main() {
 	}
 	pcs := db.PlanCacheStats()
 	fmt.Printf("plan cache: hits=%d misses=%d invalidations=%d\n", pcs.Hits, pcs.Misses, pcs.Invalidations)
+
+	// A cost-based plan was built from epoch 1's statistics: the next
+	// commit invalidates it, and the query after that re-plans.
+	if _, err := db.QueryContext(ctx, query, hsp.WithPlanCache(64), hsp.WithPlanner(hsp.PlannerCDP)); err != nil {
+		log.Fatal(err)
+	}
+	txn, err = db.Update(ctx)
+	if err != nil {
+		log.Fatal(err)
+	}
+	if err := txn.Insert(hsp.Triple{S: hsp.IRI("http://ex/s3"), P: hsp.IRI("http://ex/temp"), O: hsp.Literal("19C")}); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := txn.Commit(ctx); err != nil {
+		log.Fatal(err)
+	}
+	if _, err := db.QueryContext(ctx, query, hsp.WithPlanCache(64), hsp.WithPlanner(hsp.PlannerCDP)); err != nil {
+		log.Fatal(err)
+	}
+	pcs = db.PlanCacheStats()
+	fmt.Printf("after a CDP query across a commit: hits=%d misses=%d invalidations=%d\n", pcs.Hits, pcs.Misses, pcs.Invalidations)
 }

@@ -49,8 +49,9 @@
 // Datasets are live: the DB serves immutable MVCC snapshots and a
 // transactional writer publishes successors under increasing epochs.
 // Readers pin the snapshot they started with — streams, statements and
-// plans are never disturbed by commits — and the plan cache
-// invalidates stale epochs lazily:
+// plans are never disturbed by commits. A cached HSP plan survives
+// commits (later requests run it on their own snapshot); cached plans
+// of the planners that read statistics are invalidated lazily:
 //
 //	txn, err := db.Update(ctx)
 //	txn.Insert(hsp.Triple{S: hsp.IRI("s"), P: hsp.IRI("p"), O: hsp.Literal("o")})
@@ -194,7 +195,8 @@ type DB struct {
 
 	// pc is the shared compiled-plan cache, created lazily on the first
 	// query served with WithPlanCache. It is shared across snapshots:
-	// entries are epoch-tagged and invalidated lazily after commits.
+	// HSP entries serve every epoch; entries of planners that read
+	// statistics are epoch-tagged and invalidated lazily after commits.
 	pcMu sync.Mutex
 	pc   *exec.PlanCache
 
@@ -210,20 +212,35 @@ type DB struct {
 }
 
 // dbState bundles everything derived from one snapshot: the snapshot
-// itself, the lazily built RDF-3X index set over it, and the
+// itself, the execution engines over it — the column substrate's built
+// with the state, the RDF-3X index set's on first use — and the
 // cross-planning statistics memo feeding the cost-based planners.
+// Every run of a request binds its (possibly cached, possibly older)
+// compiled plan to the engine of the state the request captured.
 type dbState struct {
 	snap   *store.Snapshot
+	col    *exec.Engine
 	rxOnce sync.Once
-	rx     *rdf3x.Store
+	rx     *exec.Engine
 	rxErr  error
 	memo   *stats.Memo
 }
 
-// rdf3xStore builds the state's compressed index set on first use.
-func (st *dbState) rdf3xStore() (*rdf3x.Store, error) {
+// newState bundles a snapshot with its column engine and memo.
+func newState(snap *store.Snapshot, memo *stats.Memo) *dbState {
+	return &dbState{snap: snap, col: exec.NewAt(exec.ColumnSource{St: snap.Store()}, snap.Epoch()), memo: memo}
+}
+
+// rdf3xEngine builds the state's compressed index set, and the engine
+// over it, on first use.
+func (st *dbState) rdf3xEngine() (*exec.Engine, error) {
 	st.rxOnce.Do(func() {
-		st.rx, st.rxErr = rdf3x.Build(st.snap.Store())
+		rx, err := rdf3x.Build(st.snap.Store())
+		if err != nil {
+			st.rxErr = err
+			return
+		}
+		st.rx = exec.NewAt(exec.RDF3XSource{St: rx}, st.snap.Epoch())
 	})
 	return st.rx, st.rxErr
 }
@@ -236,7 +253,7 @@ func newDB(col *store.Store) *DB {
 // newDBAt wraps a snapshot (possibly reloaded mid-lineage) as a DB.
 func newDBAt(snap *store.Snapshot) *DB {
 	db := &DB{writer: make(chan struct{}, 1)}
-	db.state.Store(&dbState{snap: snap, memo: stats.NewMemo()})
+	db.state.Store(newState(snap, stats.NewMemo()))
 	db.trackSnapshot(snap)
 	return db
 }
@@ -561,18 +578,14 @@ func (p *Plan) MergeVariables() [][]string {
 	return out
 }
 
-// engineFor resolves the execution source over one snapshot bundle;
-// the returned engine is pinned to that snapshot's data and epoch.
+// engineFor returns the state's engine for a substrate, pinned to that
+// snapshot's data and epoch.
 func engineFor(state *dbState, e Engine) (*exec.Engine, error) {
 	switch e {
 	case EngineMonet, "":
-		return exec.NewAt(exec.ColumnSource{St: state.snap.Store()}, state.snap.Epoch()), nil
+		return state.col, nil
 	case EngineRDF3X:
-		rx, err := state.rdf3xStore()
-		if err != nil {
-			return nil, err
-		}
-		return exec.NewAt(exec.RDF3XSource{St: rx}, state.snap.Epoch()), nil
+		return state.rdf3xEngine()
 	default:
 		return nil, fmt.Errorf("hsp: unknown engine %q", e)
 	}

@@ -4,7 +4,9 @@
 // maps to one entry), bounded by an LRU, and epoch-aware — a commit
 // moving the dataset epoch makes every registered statement stale, and
 // each entry lazily re-prepares from its stored query text on its next
-// execution. Replaced and evicted statements are merely dropped, never
+// execution (for an HSP statement a plan-cache hit: the cached plan
+// survives the commit and the new statement runs it on the new
+// snapshot). Replaced and evicted statements are merely dropped, never
 // Closed: hsp.Stmt.Close frees nothing and in-flight executions on the
 // old statement must keep working.
 

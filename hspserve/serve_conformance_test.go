@@ -563,6 +563,57 @@ SELECT ?j ?yr WHERE { ?j dc:title $title . ?j dcterms:issued ?yr }`
 	}
 }
 
+// TestRegistryReprepareIsPlanCacheHit: the registry re-prepares a
+// statement after /update moves the epoch, and for an HSP statement
+// that re-prepare is a plan-cache hit — nothing is re-planned, and the
+// cached plan runs on the new snapshot, so the row the update added
+// (naming a constant absent before it) is in the answer.
+func TestRegistryReprepareIsPlanCacheHit(t *testing.T) {
+	db := hsp.GenerateSP2Bench(testScale, 1)
+	s, ts := newServer(t, hspserve.Config{DB: db})
+	const query = `SELECT ?j ?yr WHERE { ?j <http://example.org/fresh> ?yr }`
+	form := url.Values{"query": {query}}
+	resp, err := ts.Client().Post(ts.URL+"/statements", "application/x-www-form-urlencoded", strings.NewReader(form.Encode()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var rr hspserve.RegisterResult
+	if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	execute := func() string {
+		t.Helper()
+		status, body, _ := get(t, ts.Client(), ts.URL+"/statements/"+rr.Digest+"?format=tsv", nil)
+		if status != http.StatusOK {
+			t.Fatalf("execute = %d %q", status, body)
+		}
+		return body
+	}
+	if body := execute(); strings.Contains(body, "2026") {
+		t.Fatalf("pre-update answer %q already has the row", body)
+	}
+	before := db.PlanCacheStats()
+
+	upResp, err := ts.Client().Post(ts.URL+"/update", "application/n-triples",
+		strings.NewReader("<http://example.org/j99> <http://example.org/fresh> \"2026\" .\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	upResp.Body.Close()
+
+	if body := execute(); !strings.Contains(body, "2026") {
+		t.Fatalf("post-update answer %q lacks the new row", body)
+	}
+	if got := s.Stats().Registry.Reprepares; got != 1 {
+		t.Errorf("Registry.Reprepares = %d, want 1", got)
+	}
+	after := db.PlanCacheStats()
+	if after.Hits != before.Hits+1 || after.Misses != before.Misses || after.Invalidations != 0 {
+		t.Errorf("plan cache %+v -> %+v: the re-prepare must be one hit, no miss, no invalidation", before, after)
+	}
+}
+
 // TestRegistryLRUBound: the registry evicts least-recently-used
 // entries past its capacity.
 func TestRegistryLRUBound(t *testing.T) {

@@ -90,6 +90,47 @@ func (d *Dict) Encode(t rdf.Term) ID {
 	return id
 }
 
+// EncodeAll returns the IDs of ts, in order, assigning fresh ones to
+// the terms that are new — the batch form of Encode for a commit's
+// delta. Terms already present cost one shared read-locked pass; the
+// new ones are appended under one write lock and published with one
+// header store, however many there are.
+func (d *Dict) EncodeAll(ts []rdf.Term) []ID {
+	ids := make([]ID, len(ts))
+	missing := false
+	d.mu.RLock()
+	for i, t := range ts {
+		ids[i] = d.ids[termKey{t.Kind, t.Value}]
+		missing = missing || ids[i] == Invalid
+	}
+	d.mu.RUnlock()
+	if !missing {
+		return ids
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	terms := d.loadTerms()
+	published := len(terms)
+	for i, t := range ts {
+		if ids[i] != Invalid {
+			continue
+		}
+		k := termKey{t.Kind, t.Value}
+		id, ok := d.ids[k]
+		if !ok {
+			// Appends write past the published length only, like Encode's.
+			terms = append(terms, t)
+			id = ID(len(terms))
+			d.ids[k] = id
+		}
+		ids[i] = id
+	}
+	if len(terms) > published {
+		d.terms.Store(&terms)
+	}
+	return ids
+}
+
 // Lookup returns the ID of t if it is present, and Invalid otherwise.
 func (d *Dict) Lookup(t rdf.Term) (ID, bool) {
 	d.mu.RLock()

@@ -118,9 +118,37 @@ func TestConcurrentEncode(t *testing.T) {
 	}
 }
 
+// TestEncodeAll: the batch intern returns Encode's IDs in input order —
+// known terms keep theirs, new terms get dense fresh ones, a term
+// repeated within the batch gets one ID — and an all-known batch
+// leaves the dictionary untouched.
+func TestEncodeAll(t *testing.T) {
+	d := New()
+	a := d.Encode(rdf.NewIRI("a"))
+	ids := d.EncodeAll([]rdf.Term{rdf.NewIRI("b"), rdf.NewIRI("a"), rdf.NewLiteral("b"), rdf.NewIRI("b")})
+	if want := []ID{a + 1, a, a + 2, a + 1}; fmt.Sprint(ids) != fmt.Sprint(want) {
+		t.Fatalf("EncodeAll = %v, want %v", ids, want)
+	}
+	for i, term := range []rdf.Term{rdf.NewIRI("b"), rdf.NewIRI("a"), rdf.NewLiteral("b")} {
+		if got := d.Term(ids[i]); got != term {
+			t.Errorf("Term(%d) = %v, want %v", ids[i], got, term)
+		}
+		if got, ok := d.Lookup(term); !ok || got != ids[i] {
+			t.Errorf("Lookup(%v) = (%d,%v), want (%d,true)", term, got, ok, ids[i])
+		}
+	}
+	if again := d.EncodeAll([]rdf.Term{rdf.NewLiteral("b"), rdf.NewIRI("a")}); again[0] != a+2 || again[1] != a || d.Len() != 3 {
+		t.Fatalf("all-known batch = %v, Len %d; want [%d %d], Len 3", again, d.Len(), a+2, a)
+	}
+	if got := d.EncodeAll(nil); len(got) != 0 {
+		t.Fatalf("EncodeAll(nil) = %v", got)
+	}
+}
+
 // TestConcurrentGrowthReaders is the MVCC-sharing scenario: snapshot
 // readers decode established IDs (wait-free Term/Kind/Len and locked
-// Lookup) while a committing writer appends new terms. Run with -race.
+// Lookup) while a committing writer appends new terms, one at a time
+// and in EncodeAll batches. Run with -race.
 func TestConcurrentGrowthReaders(t *testing.T) {
 	d := New()
 	const pre = 512
@@ -162,9 +190,20 @@ func TestConcurrentGrowthReaders(t *testing.T) {
 			t.Fatalf("writer read back %v for new%d", got, i)
 		}
 	}
+	for b := 0; b < 16; b++ {
+		batch := make([]rdf.Term, 256)
+		for i := range batch {
+			batch[i] = rdf.NewLiteral(fmt.Sprintf("batch%d.%d", b, i))
+		}
+		for i, id := range d.EncodeAll(batch) {
+			if got := d.Term(id); got != batch[i] {
+				t.Fatalf("writer read back %v for %v", got, batch[i])
+			}
+		}
+	}
 	close(stop)
 	wg.Wait()
-	if d.Len() != pre+4096 {
-		t.Errorf("Len = %d, want %d", d.Len(), pre+4096)
+	if d.Len() != pre+2*4096 {
+		t.Errorf("Len = %d, want %d", d.Len(), pre+2*4096)
 	}
 }

@@ -236,11 +236,10 @@ func TestOpStats(t *testing.T) {
 func TestPlanCacheTemplateHits(t *testing.T) {
 	pc := NewPlanCache(4)
 	k := CacheKey{Query: "tpl"}
-	pc.Add(k, 1, 0)
-	if _, ok := pc.Get(k, 0); !ok {
+	pc.Add(k, 1, 0, false)
+	if _, ok := pc.GetServe(k, CacheKey{Query: "raw", Raw: true}, 0, func(any) bool { return true }, func(v any) any { return v }); !ok {
 		t.Fatal("miss")
 	}
-	pc.MarkTemplateHit()
 	s := pc.Stats()
 	if s.Hits != 1 || s.TemplateHits != 1 {
 		t.Errorf("stats = %+v", s)

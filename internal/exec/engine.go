@@ -16,20 +16,31 @@ import (
 
 // Engine executes logical plans against a storage substrate. An engine
 // built with NewAt is pinned to one MVCC snapshot of a live dataset:
-// every plan it compiles, and every run of those plans, reads exactly
-// that snapshot's data however many commits land meanwhile.
+// every run on it reads exactly that snapshot's data however many
+// commits land meanwhile. The plans it compiles are not tied to it: a
+// compiled plan holds dictionary IDs only for terms the (shared,
+// grow-only) dictionary already knew, so Options.Engine can run it on
+// any engine over the same dictionary and substrate — a later snapshot
+// of the same dataset included.
 type Engine struct {
-	src   Source
+	src Source
+	// msrc is src as a MorselSource, nil when its scans are not
+	// positional ranges (decided once, at construction).
+	msrc  MorselSource
 	epoch uint64
 }
 
 // New returns an engine over the given source, at epoch 0.
-func New(src Source) *Engine { return &Engine{src: src} }
+func New(src Source) *Engine { return NewAt(src, 0) }
 
 // NewAt returns an engine over the given source pinned to the dataset
 // epoch the source was captured at. The epoch identifies the snapshot
-// in plan-cache keysets and EXPLAIN ANALYZE output.
-func NewAt(src Source, epoch uint64) *Engine { return &Engine{src: src, epoch: epoch} }
+// in EXPLAIN ANALYZE output and Run.Epoch.
+func NewAt(src Source, epoch uint64) *Engine {
+	e := &Engine{src: src, epoch: epoch}
+	e.msrc, _ = src.(MorselSource)
+	return e
+}
 
 // Source returns the engine's substrate.
 func (e *Engine) Source() Source { return e.src }
@@ -195,7 +206,7 @@ func (c *Compiled) ExecuteStatsContext(ctx context.Context, opts Options) (*Resu
 // drainRun materialises every row of a run, carving the rows out of
 // one flat arena per batch; the caller owns Close.
 func (c *Compiled) drainRun(run *Run) (*Result, error) {
-	res := &Result{d: c.eng.src.Dict(), Vars: append([]sparql.Var(nil), c.vars...)}
+	res := &Result{d: c.dict, Vars: append([]sparql.Var(nil), c.vars...)}
 	arena := rowArena{width: len(c.vars)}
 	for run.Next() {
 		row := arena.take(run.b.n - run.i) // a chunk per batch
@@ -293,7 +304,7 @@ func (c *Compiled) ExplainAnalyzeContext(ctx context.Context, opts Options) (str
 		par = 1
 	}
 	head := fmt.Sprintf("engine=%s planner=%s rows=%d time=%s parallelism=%d epoch=%d\n",
-		c.eng.src.Name(), c.plan.Planner, n, fmtDuration(total), par, c.eng.epoch)
+		run.rt.src.Name(), c.plan.Planner, n, fmtDuration(total), par, run.Epoch())
 	if st := run.SortStats(); st != nil {
 		head += sortLine(c.sortRoot(), st, run.SortMetrics())
 	}

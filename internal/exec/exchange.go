@@ -23,7 +23,7 @@ const DefaultExchangeThreshold = 4096
 // operator state from them once and re-drains it morsel after morsel,
 // while hash tables are built once and shared read-only across workers.
 type scatterOp struct {
-	base   *morselScan
+	base   *scanOp
 	stages []physOp // bottom-up: stages[0] consumes the scan
 }
 
@@ -49,14 +49,14 @@ func (o *gatherOp) open(rt *runEnv) input {
 	if rt.opts.Parallelism <= 1 {
 		return o.inner.open(rt)
 	}
-	s := o.scatter.base.s
-	prefix, ok, err := resolveParams(rt, s.prefix, s.params)
+	s := o.scatter.base
+	prefix, ok, err := resolvePrefix(rt, s.prefix, s.holes)
 	if err != nil {
 		return rt.in(o.logical(), stub{err})
 	}
 	lo, hi := 0, 0
 	if ok {
-		lo, hi = o.scatter.base.src.ScanRange(s.s.Ordering, prefix)
+		lo, hi = rt.msrc.ScanRange(s.s.Ordering, prefix)
 	}
 	threshold := rt.opts.ExchangeThreshold
 	if threshold <= 0 {
@@ -229,7 +229,7 @@ func (g *gather) start() error {
 // morsel's rows as soon as the scan has a new range.
 func (g *gather) worker(w int) {
 	defer g.rt.wg.Done()
-	s := g.sc.base.s
+	s := g.sc.base
 	sc := s.newScan(g.rt, nil, morselRows)
 	top := input{op: sc, rt: g.rt, m: g.scanM}
 	for _, stage := range g.stages {
@@ -246,7 +246,7 @@ func (g *gather) worker(w int) {
 			return
 		}
 		mLo := g.lo + i*morselRows
-		sc.in = g.sc.base.src.ScanSlice(s.s.Ordering, mLo, min(mLo+morselRows, g.hi))
+		sc.in = g.rt.msrc.ScanSlice(s.s.Ordering, mLo, min(mLo+morselRows, g.hi))
 		m := morselOut{idx: i}
 		for {
 			var b *batch
@@ -363,13 +363,14 @@ func (r *Run) ExchangeStats() []*ExchangeStats { return r.rt.exchanges }
 
 // --- placement ---
 
-// placeExchanges walks a compiled operator tree and wraps every maximal
-// morsel-shardable chain — a MorselSource scan feeding filters,
-// projections and keyed hash-join probe sides — in a gatherOp, the
-// compile-time half of exchange placement. Whether an exchange actually
-// runs is decided per run: Options.Parallelism gates it entirely and
-// Options.ExchangeThreshold skips inputs too small to amortise worker
-// startup, so one compiled plan serves every provisioning tier.
+// placeExchanges walks an operator tree compiled over a MorselSource
+// and wraps every maximal morsel-shardable chain — a scan feeding
+// filters, projections and keyed hash-join probe sides — in a gatherOp,
+// the compile-time half of exchange placement. Whether an exchange
+// actually runs is decided per run: Options.Parallelism gates it
+// entirely and Options.ExchangeThreshold skips inputs too small to
+// amortise worker startup, so one compiled plan serves every
+// provisioning tier.
 func placeExchanges(op physOp) physOp {
 	if base, stages, ok := chainOf(op); ok && worthExchanging(stages) {
 		// Build sides hang off the chain sideways; they may contain
@@ -404,12 +405,10 @@ func placeExchanges(op physOp) physOp {
 // builds (cross products, disconnected OPTIONALs) multiply every probe
 // morsel by the whole build side, which would break the gather's
 // per-morsel memory bound.
-func chainOf(op physOp) (*morselScan, []physOp, bool) {
+func chainOf(op physOp) (*scanOp, []physOp, bool) {
 	switch o := op.(type) {
 	case *scanOp:
-		if src, ok := o.src.(MorselSource); ok {
-			return &morselScan{s: o, src: src}, nil, true
-		}
+		return o, nil, true
 	case *filterOp:
 		if base, stages, ok := chainOf(o.in); ok {
 			return base, append(stages, o), true

@@ -327,6 +327,63 @@ func TestMissingConstantYieldsEmpty(t *testing.T) {
 	}
 }
 
+// TestCompiledPlanRunsOnLaterSnapshot: a plan compiled over one MVCC
+// snapshot runs, through Options.Engine, on a later snapshot of the same
+// dataset — and the constants the dictionary did not hold at compile
+// time (a scan prefix and a FILTER right side) match once a commit
+// introduces them, at every parallelism. The compile-time engine keeps
+// its own answer, and an engine over another dictionary is refused.
+func TestCompiledPlanRunsOnLaterSnapshot(t *testing.T) {
+	st := buildStore(t, journalDoc)
+	_, p := hspPlan(t, `SELECT ?j ?o { ?j <http://dc/title> ?t . ?j <http://new/p> ?o . FILTER(?o = <http://new/o>) }`)
+	old := NewAt(ColumnSource{st}, 0)
+	c, err := old.Compile(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := st.Dict()
+	next, _, err := store.NewSnapshot(st, 0).Apply(context.Background(), store.Delta{Inserts: []store.Triple{{
+		d.Encode(rdf.NewIRI("http://ex/j1")), d.Encode(rdf.NewIRI("http://new/p")), d.Encode(rdf.NewIRI("http://new/o")),
+	}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	later := NewAt(ColumnSource{next.Store()}, next.Epoch())
+	for _, par := range []int{1, 4} {
+		res, err := c.ExecuteContext(context.Background(), Options{Engine: later, Parallelism: par, ExchangeThreshold: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Len() != 1 || res.Terms(0)["j"] != rdf.NewIRI("http://ex/j1") {
+			t.Fatalf("parallelism %d: later snapshot = %s, want the new row", par, res)
+		}
+		run := c.RunContext(context.Background(), Options{Engine: later, Parallelism: par})
+		for run.Next() {
+		}
+		if err := run.Err(); err != nil || run.Epoch() != 1 {
+			t.Fatalf("parallelism %d: run on the later engine: epoch %d, err %v", par, run.Epoch(), err)
+		}
+		run.Close()
+		res, err = c.ExecuteContext(context.Background(), Options{Parallelism: par})
+		if err != nil || res.Len() != 0 {
+			t.Fatalf("parallelism %d: compile-time snapshot = %v, %v; want no rows", par, res, err)
+		}
+	}
+	foreign := New(ColumnSource{buildStore(t, journalDoc)})
+	if _, err := c.ExecuteContext(context.Background(), Options{Engine: foreign}); err == nil {
+		t.Fatal("plan ran on an engine over another dictionary")
+	}
+
+	// An unpinned plan runs only where it is told to.
+	u := c.Unpinned()
+	if _, err := u.ExecuteContext(context.Background(), Options{}); err == nil {
+		t.Fatal("unpinned plan ran without an engine")
+	}
+	if res, err := u.ExecuteContext(context.Background(), Options{Engine: later}); err != nil || res.Len() != 1 {
+		t.Fatalf("unpinned plan on the later snapshot = %v, %v; want the new row", res, err)
+	}
+}
+
 func TestRepeatedVariableInPattern(t *testing.T) {
 	doc := `
 <http://ex/x> <http://p/self> <http://ex/x> .

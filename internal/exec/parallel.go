@@ -41,35 +41,30 @@ type MorselSource interface {
 	ScanSlice(o store.Ordering, lo, hi int) TripleIter
 }
 
-// morselScan describes a partitionable build-side scan: one without
-// repeated-variable checks, so every morsel fills its arena chunk.
-type morselScan struct {
-	s   *scanOp
-	src MorselSource
-}
-
 // parallelBuild returns the build function running the partitioned
-// build. keys is nil for key-less builds (cross products and
-// disconnected OPTIONALs). sm, when non-nil, receives the scan's
-// observed row count and wall time (the build bypasses the scan's own
-// input handle, so nothing else counts these rows).
-func (ms *morselScan) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) buildFn {
+// build of a scan without repeated-variable checks (so every morsel
+// fills its arena chunk) over the run's MorselSource. keys is nil for
+// key-less builds (cross products and disconnected OPTIONALs). sm, when
+// non-nil, receives the scan's observed row count and wall time (the
+// build bypasses the scan's own input handle, so nothing else counts
+// these rows).
+func (s *scanOp) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) buildFn {
 	return func() (*buildTable, error) {
 		start := time.Now()
-		s, o := ms.s, ms.s.s.Ordering
-		prefix, ok, err := resolveParams(rt, s.prefix, s.params)
+		o := s.s.Ordering
+		prefix, ok, err := resolvePrefix(rt, s.prefix, s.holes)
 		if err != nil {
 			return nil, err
 		}
 		lo, hi := 0, 0
 		if ok { // else a bound term is absent from the data: the build side is empty
-			lo, hi = ms.src.ScanRange(o, prefix)
+			lo, hi = rt.msrc.ScanRange(o, prefix)
 		}
 		if hi-lo < minParallelRows {
 			// Too small to be worth partitioning.
 			var op operator = stub{}
 			if hi > lo {
-				op = s.newScan(rt, ms.src.ScanSlice(o, lo, hi), hi-lo)
+				op = s.newScan(rt, rt.msrc.ScanSlice(o, lo, hi), hi-lo)
 			}
 			return seqBuild(input{op: op, rt: rt, m: sm}, s.bound, keys)()
 		}
@@ -91,7 +86,7 @@ func (ms *morselScan) parallelBuild(rt *runEnv, keys []int, sm *OpMetrics) build
 					mLo := lo + i*morselRows
 					mHi := min(mLo+morselRows, hi)
 					t.chunks[i] = rt.newBatch(s.width, s.bound, morselRows)
-					sc := scan{in: ms.src.ScanSlice(o, mLo, mHi), out: t.chunks[i], slotOf: s.slotOf, checkSlot: s.checkSlot}
+					sc := scan{in: rt.msrc.ScanSlice(o, mLo, mHi), out: t.chunks[i], slotOf: s.slotOf, checkSlot: s.checkSlot}
 					sc.fill(mHi - mLo)
 					rt.release()
 				}

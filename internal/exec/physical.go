@@ -58,6 +58,13 @@ type Options struct {
 	// it directly, so the caller must not mutate it while the run is
 	// open.
 	Resolved ResolvedBinds
+	// Engine is the snapshot the run reads; nil selects the engine the
+	// plan was compiled with (an Unpinned plan has none, and must be
+	// given one here). It must share the plan's dictionary and
+	// substrate (a plan compiled over one MVCC snapshot runs on any
+	// later snapshot of the same dataset); a run on any other engine
+	// fails at start.
+	Engine *Engine
 }
 
 // ResolvedBind is one parameter binding resolved against the plan's
@@ -94,7 +101,7 @@ func (c *Compiled) ResolveBinds(binds map[string]rdf.Term) ResolvedBinds {
 // building block batched callers use to memoise lookups for terms that
 // repeat across a batch's executions.
 func (c *Compiled) ResolveTerm(t rdf.Term) ResolvedBind {
-	id, inDict := c.eng.src.Dict().Lookup(t)
+	id, inDict := c.dict.Lookup(t)
 	return ResolvedBind{Term: t, ID: id, InDict: inDict}
 }
 
@@ -161,9 +168,13 @@ type runEnv struct {
 	// up at run start), consulted by scans and filters holding
 	// placeholder slots when they open.
 	binds ResolvedBinds
-	// epoch is the dataset epoch of the snapshot the run is pinned to —
-	// the compiled plan's engine epoch, fixed for the run's whole
-	// lifetime however many commits land meanwhile.
+	// src is the snapshot the run reads (Options.Engine's, or the
+	// compile-time engine's), msrc the same source as a MorselSource
+	// (nil when it is not one), and epoch that snapshot's dataset epoch:
+	// all three are fixed for the run's whole lifetime however many
+	// commits land meanwhile.
+	src   Source
+	msrc  MorselSource
 	epoch uint64
 	// exchanges collects the scatter/gather statistics of the run's
 	// exchange operators, appended when they open (single-goroutine)
@@ -280,71 +291,73 @@ func (rt *runEnv) in(n algebra.Node, op operator) input {
 
 // --- physical operators ---
 
-// emptyOp yields nothing (a scan whose constant is absent).
-type emptyOp struct{ n algebra.Node }
-
-func (o *emptyOp) open(rt *runEnv) input { return rt.in(o.n, stub{}) }
-func (o *emptyOp) logical() algebra.Node { return o.n }
-func (o *emptyOp) slots() []int          { return nil }
-
-// prefixParam marks one placeholder slot of a scan's constant prefix:
-// prefix[idx] is substituted with the binding of the named parameter
-// when a run opens.
-type prefixParam struct {
+// prefixHole marks one slot of a scan's constant prefix that is filled
+// in when a run opens: with the binding of the named parameter, or —
+// name empty — with the ID of term, a constant the dictionary did not
+// hold at compile time and may have interned since.
+type prefixHole struct {
 	idx  int
 	name string
+	term rdf.Term
 }
 
 // scanOp evaluates one triple pattern over an access path. Constant
-// prefix positions are resolved to dictionary IDs at compile time;
-// placeholder positions (params) are filled in from the run's bindings
-// when the scan opens, so one compiled scan serves every binding.
+// prefix positions the dictionary knows are resolved to IDs at compile
+// time; placeholder positions and unknown constants (holes) are filled
+// in when the scan opens, so one compiled scan serves every binding and
+// every snapshot.
 type scanOp struct {
 	s         *algebra.Scan
-	src       Source
 	prefix    []dict.ID
-	params    []prefixParam
+	holes     []prefixHole
 	width     int
 	bound     []int
 	slotOf    []int
 	checkSlot []int
 }
 
-// resolveParams returns a scan's binary-search prefix under the run's
-// bindings: the compiled prefix when it has no placeholder holes, else
-// a copy with every hole filled from the bindings. ok=false means a
-// bound term does not occur in the data: the scan matches nothing (not
-// an error).
-func resolveParams(rt *runEnv, prefix []dict.ID, params []prefixParam) ([]dict.ID, bool, error) {
-	if len(params) == 0 {
+// resolvePrefix returns a scan's binary-search prefix for the run: the
+// compiled prefix when it has no holes, else a copy with every hole
+// filled from the bindings or the dictionary. ok=false means a bound
+// term or a constant does not occur in the data: the scan matches
+// nothing (not an error).
+func resolvePrefix(rt *runEnv, prefix []dict.ID, holes []prefixHole) ([]dict.ID, bool, error) {
+	if len(holes) == 0 {
 		return prefix, true, nil
 	}
 	out := append([]dict.ID(nil), prefix...)
-	for _, p := range params {
-		b, ok := rt.binds[p.name]
-		if !ok {
-			return nil, false, fmt.Errorf("%w $%s", ErrUnboundParam, p.name)
+	for _, h := range holes {
+		var id dict.ID
+		var ok bool
+		if h.name == "" {
+			id, ok = rt.src.Dict().Lookup(h.term)
+		} else {
+			b, bound := rt.binds[h.name]
+			if !bound {
+				return nil, false, fmt.Errorf("%w $%s", ErrUnboundParam, h.name)
+			}
+			id, ok = b.ID, b.InDict
 		}
-		if !b.InDict {
+		if !ok {
 			return nil, false, nil
 		}
-		out[p.idx] = b.ID
+		out[h.idx] = id
 	}
 	return out, true, nil
 }
 
 func (o *scanOp) open(rt *runEnv) input {
-	prefix, ok, err := resolveParams(rt, o.prefix, o.params)
+	prefix, ok, err := resolvePrefix(rt, o.prefix, o.holes)
 	if err != nil || !ok {
 		return rt.in(o.s, stub{err})
 	}
 	// The scan's size is known up front, so its batch is no larger: a
 	// point lookup takes, and touches, a few rows of columns.
-	rows := o.src.Count(o.s.Ordering, prefix)
+	rows := rt.src.Count(o.s.Ordering, prefix)
 	if rows == 0 {
 		return rt.in(o.s, stub{})
 	}
-	return rt.in(o.s, o.newScan(rt, o.src.Scan(o.s.Ordering, prefix), rows))
+	return rt.in(o.s, o.newScan(rt, rt.src.Scan(o.s.Ordering, prefix), rows))
 }
 
 // newScan instantiates the scan operator over a triple stream of at
@@ -357,30 +370,31 @@ func (o *scanOp) newScan(rt *runEnv, in TripleIter, rows int) *scan {
 func (o *scanOp) logical() algebra.Node { return o.s }
 func (o *scanOp) slots() []int          { return o.bound }
 
-// aggScanOp evaluates a pattern over the aggregated pair index.
-// Placeholder prefix positions resolve from the run's bindings like
-// scanOp's.
+// aggScanOp evaluates a pattern over the aggregated pair index. Prefix
+// holes resolve when the scan opens, like scanOp's.
 type aggScanOp struct {
 	s      *algebra.Scan
-	agg    AggregatedSource
 	prefix []dict.ID
-	params []prefixParam
+	holes  []prefixHole
 	width  int
 	bound  []int
 	slotOf [2]int
 }
 
 func (o *aggScanOp) open(rt *runEnv) input {
-	prefix, ok, err := resolveParams(rt, o.prefix, o.params)
+	prefix, ok, err := resolvePrefix(rt, o.prefix, o.holes)
 	if err != nil || !ok {
 		return rt.in(o.s, stub{err})
 	}
-	rows := min(o.agg.Count(o.s.Ordering, prefix), batchRows)
+	// The compiler accepted the plan's substrate as an AggregatedSource,
+	// and a run's engine shares that substrate.
+	agg := rt.src.(AggregatedSource)
+	rows := min(agg.Count(o.s.Ordering, prefix), batchRows)
 	if rows == 0 {
 		return rt.in(o.s, stub{})
 	}
 	return rt.in(o.s, &aggScan{
-		in:       o.agg.ScanPairs(o.s.Ordering, prefix),
+		in:       agg.ScanPairs(o.s.Ordering, prefix),
 		out:      rt.newBatch(o.width, o.bound, rows),
 		capacity: rows,
 		slotOf:   o.slotOf,
@@ -425,10 +439,10 @@ type hashJoinOp struct {
 	jc        *joinCols // a: build side, b: probe side
 	width     int
 	leftOuter bool // OPTIONAL semantics
-	// morsel is the partitioned-scan description of the build side, set
-	// when it is a plain scan over a morsel-capable source; parallel
-	// runs then build the table with partitioned workers.
-	morsel *morselScan
+	// morsel is the build side when it is a partitionable scan over a
+	// morsel-capable source; parallel runs then build the table with
+	// partitioned workers.
+	morsel *scanOp
 }
 
 func (o *hashJoinOp) open(rt *runEnv) input {
@@ -453,7 +467,7 @@ func (o *hashJoinOp) openBuild(rt *runEnv) buildFn {
 	parallel := rt.opts.Parallelism > 1 && o.morsel != nil
 	var inner buildFn
 	if parallel {
-		inner = o.morsel.parallelBuild(rt, o.keys, rt.metric(o.morsel.s.s))
+		inner = o.morsel.parallelBuild(rt, o.keys, rt.metric(o.morsel.s))
 	} else {
 		inner = seqBuild(o.build.open(rt), o.build.slots(), o.keys)
 	}
@@ -511,7 +525,8 @@ func asyncBuild(rt *runEnv, f buildFn) buildFn {
 
 // filterOp applies a comparison FILTER. A placeholder right side
 // (rParam non-empty) resolves its constant from the run's bindings at
-// open time.
+// open time, and so does a constant the dictionary did not hold at
+// compile time (rInDict false), from the dictionary.
 type filterOp struct {
 	f       *algebra.Filter
 	in      physOp
@@ -534,15 +549,19 @@ func (o *filterOp) open(rt *runEnv) input {
 }
 
 // newFilter instantiates the filter operator over an input, resolving
-// a placeholder constant from the run's bindings.
+// a placeholder constant from the run's bindings and a constant unknown
+// at compile time from the dictionary.
 func (o *filterOp) newFilter(rt *runEnv, in input) (*filter, error) {
 	f := &filter{in: in, d: o.d, op: o.op, slot: o.slot, rSlot: o.rSlot, rTerm: o.rTerm, rID: o.rID, rInDict: o.rInDict}
-	if o.rParam != "" {
+	switch {
+	case o.rParam != "":
 		b, ok := rt.binds[o.rParam]
 		if !ok {
 			return nil, fmt.Errorf("%w $%s", ErrUnboundParam, o.rParam)
 		}
 		f.rTerm, f.rID, f.rInDict = b.Term, b.ID, b.InDict
+	case o.rSlot < 0 && !o.rInDict:
+		f.rID, f.rInDict = o.d.Lookup(o.rTerm)
 	}
 	return f, nil
 }
@@ -629,13 +648,31 @@ func (o *sortOp) slots() []int          { return identitySlots(o.outWidth) }
 // --- compilation ---
 
 // Compiled is a physical plan: a logical plan lowered once into a tree
-// of physical operators, reusable across any number of runs.
+// of physical operators, reusable across any number of runs — on the
+// engine it was compiled with (unless Unpinned), or (Options.Engine) on
+// any other engine over the same dictionary and substrate.
 type Compiled struct {
-	eng    *Engine
-	plan   *algebra.Plan
-	root   physOp
-	vars   []sparql.Var
-	params []string
+	// eng is the engine runs read when Options.Engine is nil; nil for an
+	// Unpinned plan.
+	eng *Engine
+	// dict and substrate (the source's Name) are what every engine a
+	// run names must share with the compile-time one.
+	dict      *dict.Dict
+	substrate string
+	plan      *algebra.Plan
+	root      physOp
+	vars      []sparql.Var
+	params    []string
+}
+
+// Unpinned returns the plan without an engine of its own, so that
+// holding it — in a plan cache, across commits — keeps no snapshot's
+// data reachable. Every run of the returned plan names its engine in
+// Options.Engine; a run without one fails at start.
+func (c *Compiled) Unpinned() *Compiled {
+	out := *c
+	out.eng = nil
+	return &out
 }
 
 // Vars returns the output columns, in row order.
@@ -650,7 +687,7 @@ func (c *Compiled) Params() []string { return c.params }
 func (c *Compiled) Plan() *algebra.Plan { return c.plan }
 
 // Dict returns the dictionary the plan's row IDs decode against.
-func (c *Compiled) Dict() *dict.Dict { return c.eng.src.Dict() }
+func (c *Compiled) Dict() *dict.Dict { return c.dict }
 
 // Sorted derives a plan whose runs emit rows ordered by the ORDER BY
 // keys, via the streaming sort operator (bounded memory, spilling to
@@ -677,7 +714,7 @@ func (c *Compiled) Sorted(keys []sparql.OrderKey, topK int) (*Compiled, error) {
 		label:    renderOrderKeys(keys),
 		topK:     topK,
 		outWidth: len(c.vars),
-		d:        c.eng.src.Dict(),
+		d:        c.dict,
 	}
 	return &out, nil
 }
@@ -698,28 +735,28 @@ func (c *Compiled) RowComparator(keys []sparql.OrderKey) (func(a, b Row) int, er
 	if err != nil {
 		return nil, err
 	}
-	d := c.eng.src.Dict()
-	return func(a, b Row) int { return compareRows(d, sk, a, b) }, nil
+	return func(a, b Row) int { return compareRows(c.dict, sk, a, b) }, nil
 }
 
 // DecodeRow decodes an output row of the compiled plan to terms,
 // skipping unbound columns. The row must align with Vars.
 func (c *Compiled) DecodeRow(row Row) map[sparql.Var]rdf.Term {
-	d := c.eng.src.Dict()
 	out := make(map[sparql.Var]rdf.Term, len(c.vars))
 	for i, v := range c.vars {
 		if id := row[i]; id != dict.Invalid {
-			out[v] = d.Term(id)
+			out[v] = c.dict.Term(id)
 		}
 	}
 	return out
 }
 
 // Compile validates a logical plan and lowers it to a physical
-// operator tree: access paths are bound (constant prefixes resolved
-// against the dictionary), variables are assigned row slots, join
-// strategies become concrete operators, and a projection is synthesized
-// at the root when the plan has none.
+// operator tree: access paths are bound (constant prefixes the
+// dictionary knows resolved to IDs, the others left as holes each run
+// resolves), variables are assigned row slots, join strategies become
+// concrete operators, and a projection is synthesized at the root when
+// the plan has none. Nothing else of the engine's data is read, so the
+// plan is valid on every engine over the same dictionary and substrate.
 func (e *Engine) Compile(p *algebra.Plan) (*Compiled, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -730,7 +767,7 @@ func (e *Engine) Compile(p *algebra.Plan) (*Compiled, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := &Compiled{eng: e, plan: p, root: root, params: c.params}
+	out := &Compiled{eng: e, dict: e.src.Dict(), substrate: e.src.Name(), plan: p, root: root, params: c.params}
 	if proj, ok := p.Root.(*algebra.Project); ok {
 		out.vars = c.projectVars(proj)
 	} else {
@@ -744,10 +781,12 @@ func (e *Engine) Compile(p *algebra.Plan) (*Compiled, error) {
 		}
 		out.root = &projectOp{in: root, cols: cols}
 	}
-	// Exchange placement: wrap morsel-shardable pipeline chains so
-	// parallel runs can scatter them across workers. Sequential runs
-	// pass straight through the wrappers.
-	out.root = placeExchanges(out.root)
+	// Exchange placement: over a positional source, wrap
+	// morsel-shardable pipeline chains so parallel runs can scatter them
+	// across workers. Sequential runs pass straight through the wrappers.
+	if e.msrc != nil {
+		out.root = placeExchanges(out.root)
+	}
 	return out, nil
 }
 
@@ -876,20 +915,16 @@ func (c *compiler) compilePair(l, r algebra.Node) (physOp, physOp, error) {
 	return lo, ro, err
 }
 
-// morselFor describes the build side as a partitionable scan, or nil
-// when it is anything else (filters, joins, aggregated scans, a scan
-// that drops rows on a repeated variable, or a source without
-// positional ranges).
-func (c *compiler) morselFor(op physOp) *morselScan {
+// morselFor returns the build side when it is a partitionable scan, or
+// nil when it is anything else (filters, joins, aggregated scans, a
+// scan that drops rows on a repeated variable, or a scan over a source
+// without positional ranges).
+func (c *compiler) morselFor(op physOp) *scanOp {
 	s, ok := op.(*scanOp)
-	if !ok || slices.ContainsFunc(s.checkSlot, func(c int) bool { return c >= 0 }) {
+	if !ok || c.engine.msrc == nil || slices.ContainsFunc(s.checkSlot, func(c int) bool { return c >= 0 }) {
 		return nil
 	}
-	src, ok := s.src.(MorselSource)
-	if !ok {
-		return nil
-	}
-	return &morselScan{s: s, src: src}
+	return s
 }
 
 // projectVars returns the output columns of a projection: the declared
@@ -917,37 +952,36 @@ func (c *compiler) compileScan(s *algebra.Scan) (physOp, error) {
 	d := c.engine.src.Dict()
 	perm := s.Ordering.Perm()
 
-	// Resolve the constant prefix. Placeholder positions are left as
-	// holes, recorded in params and filled from the run's bindings when
-	// the scan opens.
+	// Resolve the constant prefix. Placeholder positions, and constants
+	// the dictionary does not hold yet, are left as holes filled in when
+	// the scan opens: from the run's bindings, or from the dictionary
+	// as it is then (a term interned after compilation starts matching).
 	var prefix []dict.ID
-	var params []prefixParam
-	nConst := 0
+	var holes []prefixHole
 	for _, pos := range perm {
 		n := s.TP.Slot(pos)
 		if n.IsVar() {
 			break
 		}
 		if n.IsParam() {
-			params = append(params, prefixParam{idx: nConst, name: n.Param})
+			holes = append(holes, prefixHole{idx: len(prefix), name: n.Param})
 			c.param(n.Param)
 			prefix = append(prefix, dict.Invalid)
-			nConst++
 			continue
 		}
 		id, ok := d.Lookup(n.Term)
 		if !ok {
-			return &emptyOp{n: s}, nil // constant absent: no matches
+			holes = append(holes, prefixHole{idx: len(prefix), term: n.Term})
 		}
 		prefix = append(prefix, id)
-		nConst++
 	}
+	nConst := len(prefix)
 
 	if s.Aggregated {
-		return c.compileAggScan(s, prefix, params, nConst)
+		return c.compileAggScan(s, prefix, holes, nConst)
 	}
 
-	op := &scanOp{s: s, src: c.engine.src, prefix: prefix, params: params, width: c.width()}
+	op := &scanOp{s: s, prefix: prefix, holes: holes, width: c.width()}
 	boundAt := map[sparql.Var]int{}
 	for _, pos := range perm[nConst:] {
 		v := s.TP.Slot(pos).Var
@@ -969,16 +1003,15 @@ func (c *compiler) compileScan(s *algebra.Scan) (physOp, error) {
 // compileAggScan lowers an aggregated-index scan: only the first two
 // ordering positions are materialised; the third must be a variable and
 // is left unbound (its multiplicity is preserved via the pair counts).
-func (c *compiler) compileAggScan(s *algebra.Scan, prefix []dict.ID, params []prefixParam, nConst int) (physOp, error) {
-	agg, ok := c.engine.src.(AggregatedSource)
-	if !ok {
+func (c *compiler) compileAggScan(s *algebra.Scan, prefix []dict.ID, holes []prefixHole, nConst int) (physOp, error) {
+	if _, ok := c.engine.src.(AggregatedSource); !ok {
 		return nil, fmt.Errorf("exec: %s source has no aggregated indexes for %s", c.engine.src.Name(), s.Label())
 	}
 	perm := s.Ordering.Perm()
 	if last := s.TP.Slot(perm[2]); !last.IsVar() {
 		return nil, fmt.Errorf("exec: aggregated scan with constant third position in %s", s.Label())
 	}
-	op := &aggScanOp{s: s, agg: agg, prefix: prefix, params: params, width: c.width(), slotOf: [2]int{-1, -1}}
+	op := &aggScanOp{s: s, prefix: prefix, holes: holes, width: c.width(), slotOf: [2]int{-1, -1}}
 	for i := 0; i < 2; i++ {
 		n := s.TP.Slot(perm[i])
 		if i < nConst || !n.IsVar() {
@@ -1030,7 +1063,14 @@ func (c *Compiled) RunContext(ctx context.Context, opts Options) *Run {
 }
 
 func (c *Compiled) runCtx(ctx context.Context, opts Options, countsOnly bool) *Run {
-	rt := &runEnv{opts: opts, countsOnly: countsOnly, done: make(chan struct{}), epoch: c.eng.epoch}
+	eng := opts.Engine
+	if eng == nil {
+		eng = c.eng
+	}
+	rt := &runEnv{opts: opts, countsOnly: countsOnly, done: make(chan struct{})}
+	if eng != nil {
+		rt.src, rt.msrc, rt.epoch = eng.src, eng.msrc, eng.epoch
+	}
 	if opts.Parallelism > 1 {
 		rt.sem = make(chan struct{}, opts.Parallelism)
 	}
@@ -1038,6 +1078,20 @@ func (c *Compiled) runCtx(ctx context.Context, opts Options, countsOnly bool) *R
 		rt.metrics = Metrics{}
 	}
 	r := &Run{c: c, rt: rt, root: input{op: stub{}, rt: rt}, row: make(Row, len(c.vars))}
+	// The plan holds the compile-time dictionary's IDs and the
+	// substrate's access paths: any other dictionary or substrate would
+	// silently mis-answer.
+	switch {
+	case eng == nil:
+		r.err = errors.New("exec: an unpinned plan runs only on the engine named in Options.Engine")
+	case eng != c.eng && (eng.src.Dict() != c.dict || eng.src.Name() != c.substrate):
+		r.err = fmt.Errorf("exec: a plan runs only on engines sharing its dictionary and substrate (compiled on %s, run on %s)", c.substrate, eng.src.Name())
+	}
+	if r.err != nil {
+		rt.cancel(nil)
+		r.done = true
+		return r
+	}
 	// Bind step: resolve every placeholder binding against the
 	// dictionary once per run (pre-resolved batched bindings skip the
 	// lookups), then validate the plan's placeholders are all covered —
@@ -1172,8 +1226,8 @@ func (r *Run) SortStats() *SortStats { return r.rt.sortStats }
 // runs (nil otherwise, and nil for plans without a sort operator).
 func (r *Run) SortMetrics() *OpMetrics { return r.rt.sortM }
 
-// Epoch returns the dataset epoch the run is pinned to: the snapshot
-// its compiled plan was built against. The pin holds for the run's
-// whole lifetime — commits published after the run started never
-// change what it reads.
+// Epoch returns the dataset epoch the run is pinned to: the snapshot of
+// the engine it runs on (Options.Engine, or the one its plan was
+// compiled with). The pin holds for the run's whole lifetime — commits
+// published after the run started never change what it reads.
 func (r *Run) Epoch() uint64 { return r.rt.epoch }

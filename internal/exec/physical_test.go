@@ -26,7 +26,7 @@ func drainRun(t *testing.T, c *Compiled, opts Options) *Result {
 	t.Helper()
 	run := c.Run(opts)
 	defer run.Close()
-	res := &Result{d: c.eng.src.Dict(), Vars: c.Vars()}
+	res := &Result{d: c.dict, Vars: c.Vars()}
 	for run.Next() {
 		res.Rows = append(res.Rows, append(Row(nil), run.Row()...))
 	}

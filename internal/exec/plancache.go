@@ -5,39 +5,25 @@ import (
 	"sync"
 )
 
-// CacheKey identifies one compiled query in a PlanCache. Today a
-// compiled plan is identical for every Parallelism value (workers are a
-// run-time option), so including Parallelism fragments the cache across
-// provisioning tiers; it is kept in the key so the layout survives
-// parallelism-specialised compilation (e.g. pre-partitioned morsel
-// plans) without invalidating persisted stats or callers.
+// CacheKey identifies one compiled query in a PlanCache: everything
+// that changes the compiled plan, and nothing that only changes how a
+// run executes it (parallelism, sort budget, temp directory and
+// exchange threshold are run-time options, so one entry serves them
+// all). Building one allocates nothing.
 type CacheKey struct {
-	// Query is the full SPARQL text, byte for byte.
+	// Query is the SPARQL text the entry was planned from, byte for
+	// byte: a normalised template, or the caller's raw text when Raw.
 	Query string
+	// Raw marks an exact-text alias key (see AddAlias), keeping the
+	// namespace of callers' raw texts apart from normalised templates.
+	Raw bool
 	// Planner names the optimiser that produced the plan.
 	Planner string
 	// Engine names the storage substrate the plan was compiled against.
 	Engine string
-	// Parallelism is the worker budget the cached entry is served with.
-	Parallelism int
-	// SortBudget and TempDir are the spill configuration the entry is
-	// served with. Like Parallelism they are run-time options today —
-	// compiled plans are identical across budgets — but keeping them in
-	// the key lets budget-specialised compilation (e.g. pre-sized sort
-	// buffers) arrive without invalidating callers.
-	SortBudget int64
-	TempDir    string
-	// ExchangeThreshold is the exchange cutover the cached entry is
-	// served with. Exchange placement is compiled unconditionally and
-	// gated per run, so plans are identical across thresholds today;
-	// the key keeps the slot so threshold-specialised placement (e.g.
-	// pruning exchanges statically known to fall below the cutover) can
-	// arrive without invalidating callers.
-	ExchangeThreshold int
 	// Rewrites is the canonical encoding of the algebraic rewrite rules
-	// the entry was planned under. Unlike the run-time slots above it
-	// changes the compiled plan itself, so configurations with different
-	// rewrite sets must never share an entry.
+	// the entry was planned under; configurations with different rewrite
+	// sets plan differently and must never share an entry.
 	Rewrites string
 }
 
@@ -50,12 +36,14 @@ type CacheStats struct {
 	// TemplateHits counts the subset of Hits where the caller's query
 	// text differed from the cached entry's normalised template — hits
 	// that text keying would have missed (constant-only variations of a
-	// cached query shape). Recorded by MarkTemplateHit.
+	// cached query shape). Recorded by GetServe.
 	TemplateHits int64
-	// Invalidations counts entries dropped lazily because a lookup
-	// arrived with a newer dataset epoch than the entry was compiled at
-	// — the MVCC staleness guard. Every invalidation also counts as a
-	// miss (the caller re-plans against the current snapshot).
+	// Invalidations counts entries whose planner read the data, dropped
+	// lazily because a lookup arrived with a newer dataset epoch than the
+	// entry was planned at — the MVCC staleness guard. Entries planned
+	// from the query alone are never invalidated. Every invalidation
+	// also counts as a miss (the caller re-plans against the current
+	// snapshot).
 	Invalidations int64
 	// Len is the current number of cached entries.
 	Len int
@@ -71,12 +59,19 @@ type CacheStats struct {
 // never copies or mutates them, so cached plans must be safe for
 // concurrent runs (Compiled is).
 //
-// The cache is shared across MVCC snapshots of a live dataset: every
-// entry records the dataset epoch it was compiled at, lookups carry the
-// caller's current epoch, and a hit whose entry is from an older epoch
-// is invalidated lazily — the entry is dropped, Invalidations counts
-// it, and the lookup reports a miss so the caller re-plans against the
-// current snapshot. A stale compiled plan is therefore never served.
+// The cache is shared across MVCC snapshots of a live dataset, and what
+// a commit does to an entry depends on whether its planner read the
+// data (Add's readsData). A plan made from the query alone — HSP's,
+// whose heuristics consult no statistics — is the same at every epoch,
+// and a compiled plan runs on any snapshot of its dataset
+// (Options.Engine), so such an entry is served to every epoch. A plan
+// whose planner read the snapshot's statistics (the cost-based and
+// hybrid planners) must follow the data: the entry records the epoch
+// it was planned at, lookups carry the caller's epoch, and a lookup
+// from a newer epoch invalidates the entry lazily — it is dropped,
+// Invalidations counts it, and the lookup reports a miss so the caller
+// re-plans against the current snapshot. A plan built from superseded
+// statistics is therefore never served.
 type PlanCache struct {
 	mu            sync.Mutex
 	cap           int
@@ -88,8 +83,9 @@ type PlanCache struct {
 	templateHits  int64
 	invalidations int64
 	// maxEpoch is the newest epoch any entry was added at — the cache's
-	// notion of "current". Adds from older epochs (stragglers racing a
-	// commit) are dropped so they can never evict current plans.
+	// notion of "current". Data-reading adds from older epochs
+	// (stragglers racing a commit) are dropped so they can never evict
+	// current plans.
 	maxEpoch uint64
 }
 
@@ -97,12 +93,19 @@ type PlanCache struct {
 type cacheEntry struct {
 	key CacheKey
 	val any
-	// epoch is the dataset epoch the entry was compiled at; lookups from
-	// newer epochs invalidate the entry instead of hitting it.
-	epoch uint64
+	// epoch is the dataset epoch the entry was planned at; readsData
+	// marks a planner that read that epoch's data, so lookups from any
+	// other epoch miss (and newer ones invalidate the entry).
+	epoch     uint64
+	readsData bool
 	// aliases lists the alias keys pointing at this entry, so eviction
 	// removes them together.
 	aliases []CacheKey
+}
+
+// servesAt reports whether the entry may answer a lookup from epoch.
+func (ent *cacheEntry) servesAt(epoch uint64) bool {
+	return !ent.readsData || ent.epoch == epoch
 }
 
 // aliasVal is one alias-index slot: the entry it rides on (for LRU
@@ -133,12 +136,12 @@ func NewPlanCache(n int) *PlanCache {
 
 // Get returns the value cached under k for the caller's dataset epoch,
 // marking it most recently used, and records a hit or miss. An entry
-// compiled at an older epoch than the caller's is invalidated
-// (dropped, counted in Invalidations) and reported as a miss; an entry
-// from a newer epoch — an in-flight request still pinned to a
-// superseded snapshot racing a commit — is left in place and reported
-// as a plain miss, so stragglers never evict the current epoch's
-// plans.
+// that read the data of an older epoch than the caller's is
+// invalidated (dropped, counted in Invalidations) and reported as a
+// miss; one that read a newer epoch's — an in-flight request still
+// pinned to a superseded snapshot racing a commit — is left in place
+// and reported as a plain miss, so stragglers never evict the current
+// epoch's plans. Entries that read no data hit at every epoch.
 func (c *PlanCache) Get(k CacheKey, epoch uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -148,7 +151,7 @@ func (c *PlanCache) Get(k CacheKey, epoch uint64) (any, bool) {
 		return nil, false
 	}
 	ent := e.Value.(*cacheEntry)
-	if ent.epoch != epoch {
+	if !ent.servesAt(epoch) {
 		c.mismatch(e, ent, epoch)
 		return nil, false
 	}
@@ -177,26 +180,29 @@ func (c *PlanCache) invalidateEntry(e *list.Element, ent *cacheEntry) {
 	c.invalidations++
 }
 
-// Add caches v under k at the given dataset epoch, evicting the least
-// recently used entry (and its aliases) when the cache is full.
+// Add caches v under k, planned at the given dataset epoch; readsData
+// reports whether the planner consulted that epoch's data (statistics),
+// which ties the entry to the epoch (see PlanCache). The least recently
+// used entry (and its aliases) is evicted when the cache is full.
 // Re-adding an existing key replaces its value and epoch and drops its
-// aliases — they may embed the old value. Stragglers are rejected
-// entirely: an Add from an epoch older than the newest the cache has
-// seen (a request re-planning against a superseded snapshot while
-// commits race past it) inserts nothing, so it can neither displace a
-// current-epoch entry under its key nor evict one from a full cache;
-// the straggler's own execution still uses the plan it built.
-func (c *PlanCache) Add(k CacheKey, v any, epoch uint64) {
+// aliases — they may embed the old value. Data-reading stragglers are
+// rejected entirely: such an Add from an epoch older than the newest
+// the cache has seen (a request re-planning against a superseded
+// snapshot while commits race past it) inserts nothing, so it can
+// neither displace a current-epoch entry under its key nor evict one
+// from a full cache; the straggler's own execution still uses the plan
+// it built.
+func (c *PlanCache) Add(k CacheKey, v any, epoch uint64, readsData bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if epoch < c.maxEpoch {
+	if readsData && epoch < c.maxEpoch {
 		return
 	}
-	c.maxEpoch = epoch
+	c.maxEpoch = max(c.maxEpoch, epoch)
 	if e, ok := c.m[k]; ok {
 		ent := e.Value.(*cacheEntry)
 		ent.val = v
-		ent.epoch = epoch
+		ent.epoch, ent.readsData = epoch, readsData
 		c.dropAliases(ent)
 		c.ll.MoveToFront(e)
 		return
@@ -208,7 +214,7 @@ func (c *PlanCache) Add(k CacheKey, v any, epoch uint64) {
 		delete(c.m, ent.key)
 		c.dropAliases(ent)
 	}
-	c.m[k] = c.ll.PushFront(&cacheEntry{key: k, val: v, epoch: epoch})
+	c.m[k] = c.ll.PushFront(&cacheEntry{key: k, val: v, epoch: epoch, readsData: readsData})
 }
 
 // dropAliases removes an entry's alias-index slots. Callers hold mu.
@@ -223,15 +229,15 @@ func (c *PlanCache) dropAliases(ent *cacheEntry) {
 // — the exact-text fast path in front of template normalisation. The
 // alias carries its own value v (the caller's view of the shared
 // entry), lives exactly as long as the entry, does not consume LRU
-// capacity, and is dropped silently when the entry is absent, was
-// compiled at a different epoch than the caller's view (a straggler
-// must not attach a superseded view to the current epoch's entry), or
-// already carries maxAliases aliases.
+// capacity, and is dropped silently when the entry is absent, cannot
+// serve the caller's epoch (a straggler must not attach a superseded
+// view to the current epoch's entry), or already carries maxAliases
+// aliases.
 func (c *PlanCache) AddAlias(alias, k CacheKey, v any, epoch uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	e, ok := c.m[k]
-	if !ok || e.Value.(*cacheEntry).epoch != epoch {
+	if !ok || !e.Value.(*cacheEntry).servesAt(epoch) {
 		return
 	}
 	c.addAliasLocked(alias, e, v)
@@ -254,8 +260,8 @@ func (c *PlanCache) addAliasLocked(alias CacheKey, e *list.Element, v any) {
 // one critical section: on a hit, templateHit(v) reporting true bumps
 // the template-hit counter, and the alias key is registered to
 // aliasVal(v) (see AddAlias). Both callbacks run under the cache lock
-// and must be cheap and must not call back into the cache. Stale-epoch
-// entries are invalidated and reported as misses, like Get.
+// and must be cheap and must not call back into the cache. Entries that
+// cannot serve the caller's epoch are handled like Get's.
 func (c *PlanCache) GetServe(k, alias CacheKey, epoch uint64, templateHit func(any) bool, aliasVal func(any) any) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -265,7 +271,7 @@ func (c *PlanCache) GetServe(k, alias CacheKey, epoch uint64, templateHit func(a
 		return nil, false
 	}
 	ent := e.Value.(*cacheEntry)
-	if ent.epoch != epoch {
+	if !ent.servesAt(epoch) {
 		c.mismatch(e, ent, epoch)
 		return nil, false
 	}
@@ -281,11 +287,12 @@ func (c *PlanCache) GetServe(k, alias CacheKey, epoch uint64, templateHit func(a
 
 // GetAlias returns the value stored under an alias key for the
 // caller's dataset epoch, marking the underlying entry most recently
-// used. A found alias counts as a hit; an alias whose entry is from an
-// older epoch invalidates the entry (alias included) without counting
-// a miss here, and one from a newer epoch is simply skipped — in both
-// of the latter cases, as for a missing alias, the caller falls
-// through to the normalised Get, which records the lookup's outcome.
+// used. A found alias counts as a hit; an alias whose data-reading
+// entry is from an older epoch invalidates the entry (alias included)
+// without counting a miss here, and one from a newer epoch is simply
+// skipped — in both of the latter cases, as for a missing alias, the
+// caller falls through to the normalised Get, which records the
+// lookup's outcome.
 func (c *PlanCache) GetAlias(alias CacheKey, epoch uint64) (any, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -294,7 +301,7 @@ func (c *PlanCache) GetAlias(alias CacheKey, epoch uint64) (any, bool) {
 		return nil, false
 	}
 	ent := a.e.Value.(*cacheEntry)
-	if ent.epoch != epoch {
+	if !ent.servesAt(epoch) {
 		// The fall-through Get books the miss; record only the
 		// invalidation here (stale entries only), so one mismatched
 		// lookup is not double-counted.
@@ -306,15 +313,6 @@ func (c *PlanCache) GetAlias(alias CacheKey, epoch uint64) (any, bool) {
 	c.hits++
 	c.ll.MoveToFront(a.e)
 	return a.val, true
-}
-
-// MarkTemplateHit records that the latest hit was served through a
-// normalised template key to a query whose raw text differed from the
-// template — i.e. a hit that byte-exact text keying would have missed.
-func (c *PlanCache) MarkTemplateHit() {
-	c.mu.Lock()
-	c.templateHits++
-	c.mu.Unlock()
 }
 
 // Len returns the current number of cached entries.

@@ -82,8 +82,29 @@ func (c Config) Names() []string {
 }
 
 // Key renders the enabled rule set as a comma-joined string for cache
-// keying ("" when the pass is fully disabled).
-func (c Config) Key() string { return strings.Join(c.Names(), ",") }
+// keying ("" when the pass is fully disabled). Every rule set's key is
+// rendered once, up front, so keying a request allocates nothing.
+func (c Config) Key() string { return configKeys[c.index()] }
+
+// index numbers the rule sets: one bit per rule.
+func (c Config) index() int {
+	i := 0
+	for bit, on := range [...]bool{c.ConstFold, c.Pushdown, c.Reorder} {
+		if on {
+			i |= 1 << bit
+		}
+	}
+	return i
+}
+
+// configKeys holds Key for every rule set, by index.
+var configKeys = func() (keys [8]string) {
+	for i := range keys {
+		c := Config{ConstFold: i&1 != 0, Pushdown: i&2 != 0, Reorder: i&4 != 0}
+		keys[c.index()] = strings.Join(c.Names(), ",")
+	}
+	return keys
+}()
 
 // Apply runs the query-level rules (constant folding, then reordering)
 // over every UNION branch and OPTIONAL group, returning the rewritten

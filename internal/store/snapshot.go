@@ -73,11 +73,17 @@ func (s *Store) save(w io.Writer, epoch uint64, magic string) error {
 		}
 	}
 
+	// The dictionary is shared with the live dataset and may grow while
+	// this runs (a commit interning terms beside a compaction), so its
+	// length is read once: the count written and the terms written must
+	// agree. Every ID the store references was interned before the store
+	// was published, so the prefix covers them all.
 	d := s.Dict()
-	if err := writeUvarint(uint64(d.Len())); err != nil {
+	n := d.Len()
+	if err := writeUvarint(uint64(n)); err != nil {
 		return err
 	}
-	for id := dict.ID(1); int(id) <= d.Len(); id++ {
+	for id := dict.ID(1); int(id) <= n; id++ {
 		t := d.Term(id)
 		if err := bw.WriteByte(byte(t.Kind)); err != nil {
 			return err

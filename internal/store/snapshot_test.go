@@ -39,6 +39,55 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSaveWhileInterning is a compaction racing a writer: the snapshot
+// being saved shares its dictionary with the live dataset, and a commit
+// interns new terms while the save walks it. Every saved base must
+// load, with the snapshot's epoch and triples. Run with -race.
+func TestSaveWhileInterning(t *testing.T) {
+	st := randomTermStore(7, 2000)
+	snap := NewSnapshot(st, 3)
+	want := st.Rel(SPO)
+
+	// The writer interns a bounded run of fresh terms; saves repeat for
+	// as long as it is still running.
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 20000; i++ {
+			st.Dict().Encode(rdf.NewLiteral(fmt.Sprintf("interned while saving %d", i)))
+		}
+	}()
+	defer func() { <-done }()
+
+	for round := 0; ; round++ {
+		select {
+		case <-done:
+			if round > 0 {
+				return
+			}
+		default:
+		}
+		var buf bytes.Buffer
+		if err := snap.Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := LoadSnapshot(&buf)
+		if err != nil {
+			t.Fatalf("round %d: saved base does not load: %v", round, err)
+		}
+		got := loaded.Store().Rel(SPO)
+		if loaded.Epoch() != 3 || len(got) != len(want) {
+			t.Fatalf("round %d: loaded epoch %d with %d triples, want epoch 3 with %d", round, loaded.Epoch(), len(got), len(want))
+		}
+		for i := range want {
+			a := st.Dict().DecodeTriple(want[i][S], want[i][P], want[i][O])
+			if b := loaded.Store().Dict().DecodeTriple(got[i][S], got[i][P], got[i][O]); a != b {
+				t.Fatalf("round %d: triple %d is %v, want %v", round, i, b, a)
+			}
+		}
+	}
+}
+
 // randomTermStore builds a store of real (dictionary-backed) terms.
 func randomTermStore(seed int64, n int) *Store {
 	rng := rand.New(rand.NewSource(seed))

@@ -122,53 +122,140 @@ func TestLiveSnapshotIsolation(t *testing.T) {
 	}
 }
 
-// TestLivePlanCacheEpochMismatch proves a plan cached before a commit
-// is never served for a post-commit execution: the stale entry is
-// invalidated (PlanCacheStats.Invalidations) and the re-planned query
-// returns the new snapshot's data.
+// TestLivePlanCacheEpochMismatch: what a commit does to a cached plan
+// depends on whether its planner read the data. An HSP plan is a
+// function of the query text alone, so the commit invalidates nothing
+// and the post-commit query is a hit that reads the new snapshot. A
+// plan built from statistics (CDP, SQL, hybrid) is never served after
+// a commit: the stale entry is invalidated (PlanCacheStats.
+// Invalidations) and the re-planned query returns the new snapshot's
+// data.
 func TestLivePlanCacheEpochMismatch(t *testing.T) {
 	const n = 8
-	db := openLive(t, n)
-	opts := []ExecOption{WithPlanCache(16)}
-
-	for i := 0; i < 2; i++ { // miss then hit
-		if _, err := db.Query(liveQuery, opts...); err != nil {
+	// query runs liveQuery through the cache and checks it sees gen.
+	query := func(t *testing.T, db *DB, opts []ExecOption, gen string) {
+		t.Helper()
+		res, err := db.Query(liveQuery, opts...)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	s := db.PlanCacheStats()
-	if s.Hits != 1 || s.Misses != 1 || s.Invalidations != 0 {
-		t.Fatalf("pre-commit stats = %+v", s)
-	}
-
-	advanceGeneration(t, db, n, 0)
-
-	res, err := db.Query(liveQuery, opts...)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < res.Len(); i++ {
-		if got := res.Row(i)["o"]; got != Literal("gen1") {
-			t.Fatalf("post-commit cached query saw stale row %v", got)
+		if res.Len() != n {
+			t.Fatalf("%d rows, want %d", res.Len(), n)
+		}
+		for i := 0; i < res.Len(); i++ {
+			if got := res.Row(i)["o"]; got != Literal(gen) {
+				t.Fatalf("cached query saw row %v, want %s", got, gen)
+			}
 		}
 	}
-	s = db.PlanCacheStats()
-	if s.Invalidations != 1 {
-		t.Fatalf("Invalidations = %d, want 1", s.Invalidations)
-	}
-	if s.Misses != 2 {
-		t.Fatalf("Misses = %d, want 2 (stale lookup re-plans)", s.Misses)
+	// explain checks the EXPLAIN ANALYZE cache line and run summary.
+	explain := func(t *testing.T, db *DB, opts []ExecOption, frags ...string) {
+		t.Helper()
+		out, err := db.ExplainAnalyzeQuery(context.Background(), liveQuery, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, frag := range frags {
+			if !strings.Contains(out, frag) {
+				t.Errorf("EXPLAIN ANALYZE lacks %q:\n%s", frag, out)
+			}
+		}
 	}
 
-	// The re-planned entry serves hits again at the new epoch, and the
-	// EXPLAIN ANALYZE cache line reports epoch and invalidations.
-	out, err := db.ExplainAnalyzeQuery(context.Background(), liveQuery, opts...)
-	if err != nil {
-		t.Fatal(err)
+	t.Run("hsp", func(t *testing.T) {
+		db := openLive(t, n)
+		opts := []ExecOption{WithPlanCache(16)}
+		for i := 0; i < 2; i++ { // miss then hit
+			query(t, db, opts, "gen0")
+		}
+		advanceGeneration(t, db, n, 0)
+		query(t, db, opts, "gen1")
+		s := db.PlanCacheStats()
+		if s.Invalidations != 0 || s.Misses != 1 || s.Hits != 2 {
+			t.Fatalf("stats = %+v, want 2 hits, 1 miss, no invalidation", s)
+		}
+		// The cache line reports the hit and the epoch served; the run
+		// summary shows the cached plan ran on the new snapshot.
+		explain(t, db, opts, "plan cache: hit", "invalidations=0 epoch=1", "parallelism=1 epoch=1")
+	})
+
+	for _, p := range []Planner{PlannerCDP, PlannerSQL, PlannerHybrid} {
+		t.Run(string(p), func(t *testing.T) {
+			db := openLive(t, n)
+			opts := []ExecOption{WithPlanCache(16), WithPlanner(p)}
+			for i := 0; i < 2; i++ { // miss then hit
+				query(t, db, opts, "gen0")
+			}
+			if s := db.PlanCacheStats(); s.Hits != 1 || s.Misses != 1 || s.Invalidations != 0 {
+				t.Fatalf("pre-commit stats = %+v", s)
+			}
+			advanceGeneration(t, db, n, 0)
+			query(t, db, opts, "gen1")
+			s := db.PlanCacheStats()
+			if s.Invalidations != 1 {
+				t.Fatalf("Invalidations = %d, want 1", s.Invalidations)
+			}
+			if s.Misses != 2 {
+				t.Fatalf("Misses = %d, want 2 (stale lookup re-plans)", s.Misses)
+			}
+			// The re-planned entry serves hits again at the new epoch.
+			explain(t, db, opts, "plan cache: hit", "invalidations=1", "epoch=1")
+		})
 	}
-	for _, frag := range []string{"plan cache: hit", "invalidations=1", "epoch=1"} {
-		if !strings.Contains(out, frag) {
-			t.Errorf("EXPLAIN ANALYZE cache line lacks %q:\n%s", frag, out)
+}
+
+// TestLivePlanCacheNewConstant: a cached HSP plan naming constants the
+// dictionary does not hold keeps them as terms, not as "matches
+// nothing". Once a commit introduces them, the next Prepare — a cache
+// hit — returns the new row, on every engine and parallelism; a
+// statement prepared before the commit keeps its pinned empty answer.
+func TestLivePlanCacheNewConstant(t *testing.T) {
+	const q = `SELECT ?s ?o WHERE { ?s <http://live/p> ?o . ?s <http://live/tag> <http://live/hot> }`
+	ctx := context.Background()
+	for _, engine := range []Engine{EngineMonet, EngineRDF3X} {
+		for _, par := range []int{1, 4} {
+			t.Run(fmt.Sprintf("engine=%s/parallelism=%d", engine, par), func(t *testing.T) {
+				db := openLive(t, 4)
+				opts := []ExecOption{WithPlanCache(8), WithEngine(engine), WithParallelism(par)}
+				before, err := db.Prepare(ctx, q, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer before.Close()
+				if res, err := before.Query(ctx); err != nil || res.Len() != 0 {
+					t.Fatalf("pre-commit answer = %v, %v; want no rows", res, err)
+				}
+
+				txn, err := db.Update(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := txn.Insert(Triple{S: IRI("http://live/s1"), P: IRI("http://live/tag"), O: IRI("http://live/hot")}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := txn.Commit(ctx); err != nil {
+					t.Fatal(err)
+				}
+
+				after, err := db.Prepare(ctx, q, opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer after.Close()
+				if s := db.PlanCacheStats(); s.Hits != 1 || s.Misses != 1 {
+					t.Fatalf("post-commit Prepare was not a cache hit: %+v", s)
+				}
+				res, err := after.Query(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Len() != 1 || res.Row(0)["s"] != IRI("http://live/s1") || res.Row(0)["o"] != Literal("gen0") {
+					t.Fatalf("post-commit answer = %v, want the new row", res)
+				}
+				if res, err := before.Query(ctx); err != nil || res.Len() != 0 {
+					t.Fatalf("pinned pre-commit statement = %v, %v; want no rows", res, err)
+				}
+			})
 		}
 	}
 }
@@ -220,15 +307,18 @@ func TestLiveStmtPinsSnapshot(t *testing.T) {
 
 // TestLiveConcurrentReadersWriter is the core race test: concurrent
 // readers (streamed and materialised, sequential and morsel-parallel
-// engines) each must observe exactly one epoch's data — all n
-// subjects, every object from a single generation — while a writer
-// commits generation after generation.
+// engines) prepare through the plan cache and each must observe
+// exactly its pinned epoch's data — all n subjects, every object from
+// the generation the statement's epoch committed — while a writer
+// commits generation after generation. The readers' HSP plans are
+// shared across every epoch: the cache invalidates nothing.
 func TestLiveConcurrentReadersWriter(t *testing.T) {
 	const (
 		n       = 24
 		gens    = 6
 		readers = 8
 	)
+	ctx := context.Background()
 	for _, engine := range []Engine{EngineMonet, EngineRDF3X} {
 		for _, par := range []int{1, 4} {
 			t.Run(fmt.Sprintf("engine=%s/parallelism=%d", engine, par), func(t *testing.T) {
@@ -246,17 +336,48 @@ func TestLiveConcurrentReadersWriter(t *testing.T) {
 				errs := make(chan error, readers*2+1)
 				stop := make(chan struct{})
 
-				checkRows := func(kind string, rows []map[string]Term) error {
+				// Epoch e is generation e: every commit advances both.
+				checkRows := func(kind string, epoch uint64, rows []map[string]Term) error {
 					if len(rows) != n {
 						return fmt.Errorf("%s: %d rows, want %d", kind, len(rows), n)
 					}
-					gen := rows[0]["o"]
+					want := Literal(fmt.Sprintf("gen%d", epoch))
 					for _, r := range rows {
-						if r["o"] != gen {
-							return fmt.Errorf("%s: torn read: saw both %v and %v", kind, gen, r["o"])
+						if r["o"] != want {
+							return fmt.Errorf("%s pinned to epoch %d: saw %v, want %v", kind, epoch, r["o"], want)
 						}
 					}
 					return nil
+				}
+				read := func(w int) error {
+					st, err := db.Prepare(ctx, liveQuery, opts...)
+					if err != nil {
+						return err
+					}
+					defer st.Close()
+					if w%2 == 0 { // materialised
+						res, err := st.Query(ctx)
+						if err != nil {
+							return err
+						}
+						rows := make([]map[string]Term, res.Len())
+						for i := range rows {
+							rows[i] = res.Row(i)
+						}
+						return checkRows("materialised", st.Epoch(), rows)
+					}
+					rs, err := st.Stream(ctx) // streamed
+					if err != nil {
+						return err
+					}
+					var rows []map[string]Term
+					for rs.Next() {
+						rows = append(rows, maps.Clone(rs.Row()))
+					}
+					if err := rs.Close(); err != nil {
+						return err
+					}
+					return checkRows("streamed", st.Epoch(), rows)
 				}
 
 				for w := 0; w < readers; w++ {
@@ -269,38 +390,9 @@ func TestLiveConcurrentReadersWriter(t *testing.T) {
 								return
 							default:
 							}
-							if w%2 == 0 { // materialised
-								res, err := db.Query(liveQuery, opts...)
-								if err != nil {
-									errs <- err
-									return
-								}
-								rows := make([]map[string]Term, res.Len())
-								for i := range rows {
-									rows[i] = res.Row(i)
-								}
-								if err := checkRows("materialised", rows); err != nil {
-									errs <- err
-									return
-								}
-							} else { // streamed
-								rs, err := db.Stream(liveQuery, opts...)
-								if err != nil {
-									errs <- err
-									return
-								}
-								var rows []map[string]Term
-								for rs.Next() {
-									rows = append(rows, maps.Clone(rs.Row()))
-								}
-								if err := rs.Close(); err != nil {
-									errs <- err
-									return
-								}
-								if err := checkRows("streamed", rows); err != nil {
-									errs <- err
-									return
-								}
+							if err := read(w); err != nil {
+								errs <- err
+								return
 							}
 						}
 					}(w)
@@ -317,6 +409,9 @@ func TestLiveConcurrentReadersWriter(t *testing.T) {
 				}
 				if db.Epoch() != gens {
 					t.Errorf("final epoch = %d, want %d", db.Epoch(), gens)
+				}
+				if s := db.PlanCacheStats(); s.Invalidations != 0 || s.Hits == 0 {
+					t.Errorf("plan cache = %+v, want hits and no invalidations", s)
 				}
 				deadline := time.Now().Add(2 * time.Second)
 				for runtime.NumGoroutine() > before && time.Now().Before(deadline) {

@@ -4,7 +4,8 @@
 // through one core: compileQuery/compilePlan lower a query to immutable
 // compiled branches (plan-cache aware, keyed by the normalised
 // parameterized template), and executeCompiled/streamCompiled run them
-// under the caller's context with the execution's parameter bindings.
+// under the caller's context with the execution's parameter bindings,
+// on the engine of the snapshot the caller captured.
 
 package hsp
 
@@ -21,8 +22,8 @@ import (
 // compiledQuery is the unit the plan cache stores: one query parsed,
 // planned and compiled — the head carrying the solution modifiers, and
 // one immutable physical plan per UNION branch. Compiled plans are safe
-// for any number of concurrent runs, so one cached entry serves many
-// requests at once.
+// for any number of concurrent runs, each on the snapshot its caller
+// captured, so one cached entry serves many requests at once.
 type compiledQuery struct {
 	head     *sparql.Query
 	compiled []*exec.Compiled
@@ -39,15 +40,15 @@ type compiledQuery struct {
 // caller's placeholder names (params, in declaration order), their
 // translation to the compiled template's canonical names (rename), and
 // the literal constants the normalisation lifted out of the caller's
-// text (autoBinds, merged into every execution). The compiledQuery may
-// be shared through the plan cache; everything else is per-caller.
+// text (autoBinds, merged into every execution). A preparedQuery is
+// immutable once built, so the plan cache stores it as the value of
+// the caller's exact-text alias and hands the same one to every
+// byte-identical repeat.
 type preparedQuery struct {
 	cq        *compiledQuery
 	params    []string
 	rename    map[string]string
 	autoBinds map[string]rdf.Term
-	// cacheHit marks prepared queries served from the plan cache.
-	cacheHit bool
 }
 
 // planCache returns the DB's shared plan cache, creating it with
@@ -75,10 +76,12 @@ type PlanCacheStats struct {
 	// entry's (a constant-only variation, or a renamed placeholder), so
 	// byte-exact text keying would have re-planned.
 	TemplateHits int64
-	// Invalidations counts cached plans dropped lazily because they
-	// were compiled at an older dataset epoch than the request's — the
-	// MVCC staleness guard: a plan cached before a commit is never
-	// served to a post-commit execution. Each invalidation also counts
+	// Invalidations counts cached plans dropped lazily because their
+	// planner read an older dataset epoch's statistics than the
+	// request's — the MVCC staleness guard: a CDP, SQL or hybrid plan
+	// cached before a commit is never served to a post-commit
+	// execution. HSP plans read no statistics and are never
+	// invalidated; they serve every epoch. Each invalidation also counts
 	// as a miss.
 	Invalidations int64
 	// Len is the number of cached plans; Cap the cache capacity.
@@ -105,96 +108,87 @@ func (db *DB) PlanCacheStats() PlanCacheStats {
 }
 
 // compileQuery parses, plans and compiles a query against one captured
-// snapshot bundle. With a plan cache enabled the cache key is the
-// query's normalised parameterized template — placeholder names
-// canonicalised, literal constants lifted into typed placeholders — so
-// queries differing only in their literal constants share one compiled
-// plan (the template-thrash fix); the lifted constants ride along as
-// autoBinds and are substituted when the plan runs. Byte-identical
-// repeats — the dominant serving pattern — hit an exact-text alias of
-// the template entry without even parsing. Every cache interaction
-// carries the capture's epoch: entries compiled against an older
-// snapshot are invalidated lazily instead of being served stale.
-func (db *DB) compileQuery(state *dbState, query string, cfg execConfig) (*preparedQuery, error) {
+// snapshot bundle, reporting whether the plan came from the cache. With
+// a plan cache enabled the cache key is the query's normalised
+// parameterized template — placeholder names canonicalised, literal
+// constants lifted into typed placeholders — so queries differing only
+// in their literal constants share one compiled plan (the
+// template-thrash fix); the lifted constants ride along as autoBinds
+// and are substituted when the plan runs. Byte-identical repeats — the
+// dominant serving pattern — hit an exact-text alias of the template
+// entry without even parsing. An HSP plan depends on the query text
+// alone, so its entry serves every epoch: each run binds it to the
+// caller's own snapshot. Plans from planners that read statistics
+// (CDP, SQL, hybrid) are cached under the capture's epoch and
+// invalidated lazily once a commit moves past it.
+func (db *DB) compileQuery(state *dbState, query string, cfg execConfig) (*preparedQuery, bool, error) {
 	epoch := state.snap.Epoch()
 	var c *exec.PlanCache
 	var aliasKey exec.CacheKey
 	if cfg.planCache > 0 {
 		c = db.planCache(cfg.planCache)
-		// "\x00raw\x00" keeps the alias namespace disjoint from rendered
-		// template texts, which never contain NUL bytes.
-		aliasKey = cfg.cacheKey("\x00raw\x00" + query)
+		aliasKey = cfg.cacheKey(query, true)
 		if v, ok := c.GetAlias(aliasKey, epoch); ok {
-			pq := *(v.(*preparedQuery)) // shallow copy; all fields shared, immutable
-			pq.cacheHit = true
-			return &pq, nil
+			return v.(*preparedQuery), true, nil
 		}
 	}
 	q, err := sparql.Parse(query)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	if c == nil {
 		p, err := db.planParsed(state, q, cfg.planner, cfg.rewrites)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		cq, err := compilePlan(p, cfg.engine)
 		if err != nil {
-			return nil, err
+			return nil, false, err
 		}
 		cq.raw = query
-		return &preparedQuery{cq: cq, params: q.Params()}, nil
+		return &preparedQuery{cq: cq, params: q.Params()}, false, nil
 	}
 	tpl := sparql.Parameterize(q)
 	pq := &preparedQuery{params: q.Params(), rename: tpl.Rename, autoBinds: tpl.Binds}
-	key := cfg.cacheKey(tpl.Text)
+	key := cfg.cacheKey(tpl.Text, false)
 	v, ok := c.GetServe(key, aliasKey, epoch,
 		func(v any) bool { return v.(*compiledQuery).raw != query },
 		func(v any) any { cp := *pq; cp.cq = v.(*compiledQuery); return &cp })
 	if ok {
 		pq.cq = v.(*compiledQuery)
-		pq.cacheHit = true
-		return pq, nil
+		return pq, true, nil
 	}
 	p, err := db.planParsed(state, tpl.Query, cfg.planner, cfg.rewrites)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	cq, err := compilePlan(p, cfg.engine)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
 	cq.raw = query
 	pq.cq = cq
-	c.Add(key, cq, epoch)
-	c.AddAlias(aliasKey, key, pq.shared(), epoch)
-	return pq, nil
+	c.Add(key, cq, epoch, cfg.planner.readsData())
+	c.AddAlias(aliasKey, key, pq, epoch)
+	return pq, false, nil
 }
 
-// cacheKey builds the plan-cache key for a query (or alias) text under
-// this configuration's option fields.
-func (c execConfig) cacheKey(text string) exec.CacheKey {
+// readsData reports whether the planner consults the snapshot's data:
+// the cost-based planners and the hybrid read its statistics, so their
+// plans must follow commits; an HSP plan is a function of the query
+// text alone.
+func (p Planner) readsData() bool { return p != PlannerHSP && p != "" }
+
+// cacheKey builds the plan-cache key for a query text (raw: the
+// caller's exact text, for the alias index) under this configuration.
+func (c execConfig) cacheKey(text string, raw bool) exec.CacheKey {
 	return exec.CacheKey{
-		Query:             text,
-		Planner:           string(c.planner),
-		Engine:            string(c.engine),
-		Parallelism:       c.parallelism,
-		ExchangeThreshold: c.exchangeThreshold,
-		SortBudget:        c.sortBudget,
-		TempDir:           c.tempDir,
-		Rewrites:          c.rewrites.Key(),
+		Query:    text,
+		Raw:      raw,
+		Planner:  string(c.planner),
+		Engine:   string(c.engine),
+		Rewrites: c.rewrites.Key(),
 	}
-}
-
-// shared returns the immutable form of a preparedQuery stored under
-// its raw-text alias: byte-identical repeat queries parse to the same
-// rename and autoBinds, so the whole view can be reused — copied per
-// caller so cacheHit marking never mutates the cached value.
-func (pq *preparedQuery) shared() *preparedQuery {
-	cp := *pq
-	cp.cacheHit = false
-	return &cp
 }
 
 // compilePlan compiles every UNION branch of a plan against the chosen
@@ -218,7 +212,10 @@ func compilePlan(p *Plan, engine Engine) (*compiledQuery, error) {
 		} else if !sameVars(vars, c.Vars()) {
 			return nil, fmt.Errorf("hsp: union branches project different variables: %v vs %v", vars, c.Vars())
 		}
-		cq.compiled = append(cq.compiled, c)
+		// Every facade run names its snapshot's engine, so the plan keeps
+		// none of its own: a cached plan must not keep the snapshot it was
+		// compiled on reachable for as long as it is cached.
+		cq.compiled = append(cq.compiled, c.Unpinned())
 	}
 	return cq, nil
 }
@@ -253,20 +250,12 @@ func sortedBranches(cq *compiledQuery) ([]*exec.Compiled, error) {
 }
 
 // executeCompiled is the materialised execution core: it runs every
-// UNION branch under ctx with the given parameter bindings, applies the
-// head's solution modifiers, and — when a metrics sink is configured —
-// feeds each branch run's per-operator counters to the sink as the run
+// UNION branch under ctx with the given executor options — bindings and
+// the engine of the caller's snapshot included — applies the head's
+// solution modifiers, and — when a metrics sink is configured — feeds
+// each branch run's per-operator counters to the sink as the run
 // closes.
-func (db *DB) executeCompiled(ctx context.Context, cq *compiledQuery, cfg execConfig, binds map[string]rdf.Term) (*Result, error) {
-	eopts := cfg.execOptions()
-	eopts.Binds = binds
-	return db.executeCompiledOpts(ctx, cq, cfg, eopts)
-}
-
-// executeCompiledOpts is executeCompiled with the executor options
-// already assembled — the entry point for batched executions carrying
-// pre-resolved bindings (see Stmt.QueryMany).
-func (db *DB) executeCompiledOpts(ctx context.Context, cq *compiledQuery, cfg execConfig, eopts exec.Options) (*Result, error) {
+func (db *DB) executeCompiled(ctx context.Context, cq *compiledQuery, cfg execConfig, eopts exec.Options) (*Result, error) {
 	var acc *exec.Result
 	for _, c := range cq.compiled {
 		var res *exec.Result
@@ -376,8 +365,9 @@ func (db *DB) ExplainAnalyzeContext(ctx context.Context, p *Plan, e Engine, opts
 // WithPlanCache the output is prefixed with a plan-cache line showing
 // whether this compilation was a hit and the cache's cumulative
 // counters (template_hits counts hits served to query texts differing
-// from the cached template's; invalidations counts stale-epoch entries
-// dropped after commits; epoch is the dataset version served):
+// from the cached template's; invalidations counts entries of planners
+// that read statistics dropped after commits; epoch is the dataset
+// version served):
 //
 //	plan cache: hit hits=3 misses=1 template_hits=2 invalidations=0 epoch=2 size=1/64
 func (db *DB) ExplainAnalyzeQuery(ctx context.Context, query string, opts ...ExecOption) (string, error) {
@@ -390,7 +380,7 @@ func (db *DB) ExplainAnalyzeQuery(ctx context.Context, query string, opts ...Exe
 	if st.cfg.planCache > 0 {
 		s := db.PlanCacheStats()
 		outcome := "miss"
-		if st.pq.cacheHit {
+		if st.cacheHit {
 			outcome = "hit"
 		}
 		fmt.Fprintf(&b, "plan cache: %s hits=%d misses=%d template_hits=%d invalidations=%d epoch=%d size=%d/%d\n",

@@ -52,12 +52,16 @@ func Bind(name string, v Term) Binding { return Binding{Name: name, Value: v} }
 // plan may still back in-flight streams and the shared plan cache) and
 // further calls return ErrStmtClosed.
 type Stmt struct {
-	db     *DB
-	state  *dbState // the snapshot bundle the statement is pinned to
-	cfg    execConfig
-	pq     *preparedQuery
-	query  string
-	closed atomic.Bool
+	db    *DB
+	state *dbState // the snapshot bundle the statement is pinned to
+	// eng is the state's engine for the configured substrate: every
+	// execution runs the (possibly cached) plan on it.
+	eng      *exec.Engine
+	cfg      execConfig
+	pq       *preparedQuery
+	cacheHit bool // the plan came from the DB's plan cache
+	query    string
+	closed   atomic.Bool
 }
 
 // Prepare parses, plans and compiles a query once, returning a
@@ -69,22 +73,30 @@ type Stmt struct {
 // is a template valid for every binding. The statement pins the DB's
 // current snapshot. WithPlanner, WithEngine and the execution options
 // apply as in QueryContext; with WithPlanCache the compiled plan is
-// shared through the DB's plan cache under its normalised template key
-// and the snapshot's epoch, so statements differing only in literal
-// constants reuse one plan and stale-epoch plans are never reused. A
-// context already cancelled on entry returns its error without doing
-// anything.
+// shared through the DB's plan cache under its normalised template key,
+// so statements differing only in literal constants reuse one plan. An
+// HSP plan reads no data, so its cache entry outlives commits: a
+// statement prepared after a commit reuses it and runs it on the new
+// snapshot. Planners that read statistics (PlannerCDP, PlannerSQL,
+// PlannerHybrid) cache under the snapshot's epoch, and a commit
+// invalidates their entries, so a plan built from stale statistics is
+// never reused. A context already cancelled on entry returns its error
+// without doing anything.
 func (db *DB) Prepare(ctx context.Context, query string, opts ...ExecOption) (*Stmt, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	cfg := configOf(opts)
 	state := db.loadState()
-	pq, err := db.compileQuery(state, query, cfg)
+	pq, hit, err := db.compileQuery(state, query, cfg)
 	if err != nil {
 		return nil, err
 	}
-	return &Stmt{db: db, state: state, cfg: cfg, pq: pq, query: query}, nil
+	eng, err := engineFor(state, cfg.engine)
+	if err != nil {
+		return nil, err
+	}
+	return &Stmt{db: db, state: state, eng: eng, cfg: cfg, pq: pq, cacheHit: hit, query: query}, nil
 }
 
 // prepareFromPlan wraps an already-planned query as a statement — the
@@ -96,10 +108,14 @@ func (db *DB) prepareFromPlan(p *Plan, e Engine, opts []ExecOption) (*Stmt, erro
 	if err != nil {
 		return nil, err
 	}
+	eng, err := engineFor(p.state, e)
+	if err != nil {
+		return nil, err
+	}
 	cfg := configOf(opts)
 	cfg.engine = e
 	pq := &preparedQuery{cq: cq, params: p.head.Params()}
-	return &Stmt{db: db, state: p.state, cfg: cfg, pq: pq, query: p.head.String()}, nil
+	return &Stmt{db: db, state: p.state, eng: eng, cfg: cfg, pq: pq, query: p.head.String()}, nil
 }
 
 // Epoch returns the dataset epoch the statement is pinned to: the
@@ -125,6 +141,14 @@ func (s *Stmt) Close() error {
 	return nil
 }
 
+// options returns the executor options of one execution: the
+// configured run-time options, on the statement's snapshot.
+func (s *Stmt) options() exec.Options {
+	o := s.cfg.execOptions()
+	o.Engine = s.eng
+	return o
+}
+
 // guard validates the statement and context before an execution.
 func (s *Stmt) guard(ctx context.Context) error {
 	if s.closed.Load() {
@@ -145,7 +169,9 @@ func (s *Stmt) Query(ctx context.Context, binds ...Binding) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.db.executeCompiled(ctx, cq, s.cfg, eb)
+	eopts := s.options()
+	eopts.Binds = eb
+	return s.db.executeCompiled(ctx, cq, s.cfg, eopts)
 }
 
 // Binds is one execution's parameter bindings within a batch passed to
@@ -270,9 +296,9 @@ func (s *Stmt) queryBatchFast(ctx context.Context, batch Binds, known, subjP, pr
 			return nil, false, nil
 		}
 	}
-	eopts := s.cfg.execOptions()
+	eopts := s.options()
 	eopts.Resolved = resolved
-	res, err := s.db.executeCompiledOpts(ctx, pq.cq, s.cfg, eopts)
+	res, err := s.db.executeCompiled(ctx, pq.cq, s.cfg, eopts)
 	return res, true, err
 }
 
@@ -316,7 +342,9 @@ func (s *Stmt) Stream(ctx context.Context, binds ...Binding) (*Rows, error) {
 	if err != nil {
 		return nil, err
 	}
-	return s.db.streamCompiled(ctx, cq, s.cfg, eb)
+	eopts := s.options()
+	eopts.Binds = eb
+	return s.db.streamCompiled(ctx, cq, s.cfg, eopts)
 }
 
 // Ask executes a prepared ASK statement under ctx with the given
@@ -333,7 +361,9 @@ func (s *Stmt) Ask(ctx context.Context, binds ...Binding) (bool, error) {
 	if err != nil {
 		return false, err
 	}
-	res, err := s.db.executeCompiled(ctx, cq, s.cfg, eb)
+	eopts := s.options()
+	eopts.Binds = eb
+	res, err := s.db.executeCompiled(ctx, cq, s.cfg, eopts)
 	if err != nil {
 		return false, err
 	}
@@ -358,7 +388,7 @@ func (s *Stmt) ExplainAnalyze(ctx context.Context, binds ...Binding) (string, er
 	if err != nil {
 		return "", err
 	}
-	eopts := s.cfg.execOptions()
+	eopts := s.options()
 	eopts.Binds = eb
 	var b strings.Builder
 	for _, n := range cq.rewrites {

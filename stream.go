@@ -6,7 +6,6 @@ import (
 
 	"github.com/sparql-hsp/hsp/internal/dict"
 	"github.com/sparql-hsp/hsp/internal/exec"
-	"github.com/sparql-hsp/hsp/internal/rdf"
 	"github.com/sparql-hsp/hsp/internal/rewrite"
 	"github.com/sparql-hsp/hsp/internal/sparql"
 )
@@ -120,9 +119,13 @@ func WithExchangeThreshold(rows int) ExecOption {
 // WithPlanCache serves the query through the DB's shared compiled-plan
 // cache, sized to hold n plans (LRU evicted). The first request for a
 // query shape parses, plans and compiles it; every further request with
-// the same template, planner, engine and parallelism reuses the
+// the same template, planner, engine and rewrite rules reuses the
 // immutable compiled plan, skipping optimisation entirely — the serving
-// fast path. Cache keys are normalised parameterized templates:
+// fast path. With the default HSP planner that holds across commits
+// too: the plan reads no statistics, so the entry survives them and
+// runs on each request's own snapshot; plans of planners that read
+// statistics are invalidated by the next commit. Cache keys are
+// normalised parameterized templates:
 // placeholder names are canonicalised and literal constants lifted into
 // typed placeholders, so queries differing only in a literal (or in
 // placeholder spelling) share one entry — PlanCacheStats.TemplateHits
@@ -384,18 +387,16 @@ func (db *DB) StreamPlanContext(ctx context.Context, p *Plan, e Engine, opts ...
 }
 
 // streamCompiled builds a Rows over compiled UNION branches with the
-// execution's parameter bindings. ORDER BY streams through the sort
-// operator (per-branch bounded-memory sort; a UNION's sorted branch
-// streams are merged here, smallest row first), so no query shape
-// materialises its result.
-func (db *DB) streamCompiled(ctx context.Context, cq *compiledQuery, cfg execConfig, binds map[string]rdf.Term) (*Rows, error) {
+// execution's executor options (bindings and the caller's snapshot
+// included). ORDER BY streams through the sort operator (per-branch
+// bounded-memory sort; a UNION's sorted branch streams are merged here,
+// smallest row first), so no query shape materialises its result.
+func (db *DB) streamCompiled(ctx context.Context, cq *compiledQuery, cfg execConfig, eopts exec.Options) (*Rows, error) {
 	head := cq.head
 	compiled, err := sortedBranches(cq)
 	if err != nil {
 		return nil, err
 	}
-	eopts := cfg.execOptions()
-	eopts.Binds = binds
 	if cfg.metricsSink != nil {
 		// The sink needs per-operator counters, so sink-observed streams
 		// run instrumented like EXPLAIN ANALYZE.

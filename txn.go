@@ -7,8 +7,10 @@
 // runs into each ordering) and atomically publishes the successor
 // snapshot under the next epoch. Readers keep the snapshot they
 // started with — in-flight runs, streams, prepared statements and
-// plans are never disturbed — and the epoch-tagged plan cache
-// invalidates stale entries lazily on their next lookup.
+// plans are never disturbed. Cached HSP plans read no statistics and
+// stay valid (later requests run them on the new snapshot); cached
+// plans of the planners that read statistics are invalidated lazily on
+// their next lookup.
 
 package hsp
 
@@ -151,14 +153,15 @@ type CommitStats struct {
 // orderings concurrently, the statistics memo carries over every entry
 // the delta cannot have touched, and the new snapshot replaces the
 // served one in a single atomic swap. In-flight reads and previously
-// prepared statements keep their pinned snapshot; epoch-tagged plan
-// cache entries from older epochs are invalidated lazily. A commit
-// whose operations all reduce to no-ops publishes nothing and keeps
-// the current epoch. On a DB opened with Open, the commit's delta is
-// appended to the write-ahead log and synced per the configured
-// policy before the snapshot is published: an acknowledged commit is
-// as durable as the sync policy promises, while a WAL failure leaves
-// the served dataset untouched and the transaction open.
+// prepared statements keep their pinned snapshot; plan-cache entries of
+// planners that read statistics (CDP, SQL, hybrid) from older epochs
+// are invalidated lazily, while HSP entries serve the new epoch as
+// they are. A commit whose operations all reduce to no-ops publishes
+// nothing and keeps the current epoch. On a DB opened with Open, the
+// commit's delta is appended to the write-ahead log and synced per the
+// configured policy before the snapshot is published: an acknowledged
+// commit is as durable as the sync policy promises, while a WAL failure
+// leaves the served dataset untouched and the transaction open.
 //
 // Cancelling ctx aborts the merge, leaves the served dataset untouched
 // and keeps the transaction open — Commit may be retried or the
@@ -206,10 +209,12 @@ func (t *Txn) Commit(ctx context.Context) (CommitStats, error) {
 	}
 
 	var delta store.Delta
+	// The inserts' terms intern in one batch: one dictionary write lock
+	// and one published header for the whole commit.
+	var insTerms []rdf.Term
 	for tr, ins := range t.pending {
 		if ins {
-			s, p, o := d.EncodeTriple(tr)
-			delta.Inserts = append(delta.Inserts, store.Triple{s, p, o})
+			insTerms = append(insTerms, tr.S, tr.P, tr.O)
 			if rec != nil {
 				rec.Inserts = append(rec.Inserts, [3]uint64{addTerm(tr.S), addTerm(tr.P), addTerm(tr.O)})
 			}
@@ -227,6 +232,11 @@ func (t *Txn) Commit(ctx context.Context) (CommitStats, error) {
 			}
 		}
 	}
+	ids := d.EncodeAll(insTerms)
+	delta.Inserts = make([]store.Triple, len(ids)/3)
+	for i := range delta.Inserts {
+		delta.Inserts[i] = store.Triple(ids[3*i : 3*i+3])
+	}
 
 	next, stats, err := state.snap.Apply(ctx, delta)
 	if err != nil {
@@ -243,10 +253,7 @@ func (t *Txn) Commit(ctx context.Context) (CommitStats, error) {
 				return CommitStats{}, fmt.Errorf("hsp: commit not made durable: %w", err)
 			}
 		}
-		t.db.state.Store(&dbState{
-			snap: next,
-			memo: state.memo.CarryOver(delta.Inserts, delta.Deletes),
-		})
+		t.db.state.Store(newState(next, state.memo.CarryOver(delta.Inserts, delta.Deletes)))
 		t.db.trackSnapshot(next)
 	}
 	cs = CommitStats{
