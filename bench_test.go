@@ -613,7 +613,7 @@ func benchStream(b *testing.B, parallelism int, materialise bool) {
 					}
 					continue
 				}
-				run := compiled.Run(opts)
+				run := compiled.RunContext(context.Background(), opts)
 				for run.Next() {
 				}
 				if err := run.Err(); err != nil {
@@ -658,7 +658,7 @@ func BenchmarkStreamedParallelPipeline(b *testing.B) {
 		b.Fatal(err)
 	}
 	drain := func(par int) []exec.Row {
-		run := compiled.Run(exec.Options{Parallelism: par, ExchangeThreshold: 1})
+		run := compiled.RunContext(context.Background(), exec.Options{Parallelism: par, ExchangeThreshold: 1})
 		defer run.Close()
 		var rows []exec.Row
 		for run.Next() {
@@ -688,7 +688,7 @@ func BenchmarkStreamedParallelPipeline(b *testing.B) {
 		b.Run(fmt.Sprintf("parallelism=%d", par), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				run := compiled.Run(exec.Options{Parallelism: par, ExchangeThreshold: 1})
+				run := compiled.RunContext(context.Background(), exec.Options{Parallelism: par, ExchangeThreshold: 1})
 				for run.Next() {
 				}
 				if err := run.Err(); err != nil {
@@ -769,7 +769,7 @@ WHERE { ?doc dcterms:issued ?yr .
 ORDER BY ?yr`
 
 // benchOrderBy is the spill-vs-materialise pair: the same ORDER BY
-// query materialised (Query buffers the whole result), streamed with
+// query materialised (QueryContext buffers the whole result), streamed with
 // the default budget (in-memory sort), and streamed with a small
 // budget forcing the external merge-sort path.
 func benchOrderBy(b *testing.B, stream bool, budget int) {
@@ -779,16 +779,17 @@ func benchOrderBy(b *testing.B, stream bool, budget int) {
 	if budget > 0 {
 		opts = append(opts, WithSortSpill(budget), WithTempDir(b.TempDir()))
 	}
+	ctx := context.Background()
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		if !stream {
-			if _, err := db.Query(orderByBenchQuery, opts...); err != nil {
+			if _, err := db.QueryContext(ctx, orderByBenchQuery, opts...); err != nil {
 				b.Fatal(err)
 			}
 			continue
 		}
-		rows, err := db.Stream(orderByBenchQuery, opts...)
+		rows, err := db.StreamContext(ctx, orderByBenchQuery, opts...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -821,7 +822,7 @@ SELECT ?j ?yr WHERE { ?j dc:title $title . ?j dcterms:issued ?yr }`
 // through, so every iteration issues a different concrete query.
 func preparedBenchValues(b *testing.B, db *DB) []string {
 	b.Helper()
-	res, err := db.Query(`
+	res, err := db.QueryContext(context.Background(), `
 		PREFIX dc: <http://purl.org/dc/elements/1.1/>
 		SELECT DISTINCT ?t { ?j dc:title ?t } LIMIT 64`)
 	if err != nil {

@@ -205,34 +205,43 @@ func main() {
 		return
 	}
 	if *explain {
-		out, err := db.Explain(p, hsp.Engine(*engine))
+		out, err := db.ExplainContext(ctx, p, hsp.Engine(*engine))
 		if err != nil {
 			fail(err)
 		}
 		fmt.Print(out)
 		return
 	}
-	if *analyze {
-		out, err := db.ExplainAnalyzeContext(ctx, p, hsp.Engine(*engine), runOpts...)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Print(out)
-		return
-	}
-
-	if *stream {
-		streamRows(ctx, db, p, hsp.Engine(*engine), runOpts, *maxRows)
-		return
-	}
-
-	start = time.Now()
-	res, err := db.ExecuteContext(ctx, p, hsp.Engine(*engine), runOpts...)
+	st, err := db.PreparePlan(ctx, p, hsp.Engine(*engine), runOpts...)
 	if err != nil {
 		fail(err)
 	}
-	fmt.Fprintf(os.Stderr, "executed in %v, %d rows\n", time.Since(start), res.Len())
-	printResult(res, *maxRows)
+	defer st.Close()
+	start = time.Now()
+	switch {
+	case *analyze:
+		out, err := st.ExplainAnalyze(ctx)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Print(out)
+	case *stream:
+		// Rows arrive one at a time and print as they come; memory stays
+		// constant no matter how large the result is.
+		rows, err := st.Stream(ctx)
+		if err != nil {
+			fail(err)
+		}
+		defer rows.Close()
+		drainRows(rows, *maxRows, start)
+	default:
+		res, err := st.Query(ctx)
+		if err != nil {
+			fail(err)
+		}
+		fmt.Fprintf(os.Stderr, "executed in %v, %d rows\n", time.Since(start), res.Len())
+		printResult(res, *maxRows)
+	}
 }
 
 // paramFlags collects repeatable -param name=value bindings.
@@ -378,7 +387,12 @@ func serve(ctx context.Context, db *hsp.DB, text string, planner hsp.Planner, en
 		start := time.Now()
 		switch {
 		case analyze:
-			out, err := db.ExplainAnalyzeQuery(ctx, text, opts...)
+			st, err := db.Prepare(ctx, text, opts...)
+			if err != nil {
+				fail(err)
+			}
+			out, err := st.ExplainAnalyze(ctx)
+			st.Close()
 			if err != nil {
 				fail(err)
 			}
@@ -427,18 +441,6 @@ func printResult(res *hsp.Result, maxRows int) {
 func streamQuery(ctx context.Context, db *hsp.DB, text string, opts []hsp.ExecOption, maxRows int) {
 	start := time.Now()
 	rows, err := db.StreamContext(ctx, text, opts...)
-	if err != nil {
-		fail(err)
-	}
-	defer rows.Close()
-	drainRows(rows, maxRows, start)
-}
-
-// streamRows pulls rows one at a time, printing as they arrive; memory
-// stays constant no matter how large the result is.
-func streamRows(ctx context.Context, db *hsp.DB, p *hsp.Plan, e hsp.Engine, runOpts []hsp.ExecOption, maxRows int) {
-	start := time.Now()
-	rows, err := db.StreamPlanContext(ctx, p, e, runOpts...)
 	if err != nil {
 		fail(err)
 	}

@@ -26,81 +26,101 @@ func awaitGoroutines(t *testing.T, base int) {
 }
 
 // TestQueryContextPreCancelled: a context already cancelled on entry
-// returns context.Canceled from every entry point without planning or
-// executing anything.
+// returns context.Canceled from both front doors, the two conveniences
+// over them and every Stmt verb, without planning or executing
+// anything.
 func TestQueryContextPreCancelled(t *testing.T) {
 	db := openSample(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
+	if _, err := db.Prepare(ctx, sampleQuery); !errors.Is(err, context.Canceled) {
+		t.Errorf("Prepare = %v, want context.Canceled", err)
+	}
 	if _, err := db.QueryContext(ctx, sampleQuery); !errors.Is(err, context.Canceled) {
 		t.Errorf("QueryContext = %v, want context.Canceled", err)
 	}
 	if _, err := db.StreamContext(ctx, sampleQuery); !errors.Is(err, context.Canceled) {
 		t.Errorf("StreamContext = %v, want context.Canceled", err)
 	}
-	if _, err := db.AskContext(ctx, `ASK { ?j <http://purl.org/dc/terms/issued> ?yr }`); !errors.Is(err, context.Canceled) {
-		t.Errorf("AskContext = %v, want context.Canceled", err)
-	}
-	if _, err := db.ExplainAnalyzeQuery(ctx, sampleQuery); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExplainAnalyzeQuery = %v, want context.Canceled", err)
-	}
 	p, err := db.Plan(sampleQuery, PlannerHSP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.ExecuteContext(ctx, p, EngineMonet); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExecuteContext = %v, want context.Canceled", err)
+	if _, err := db.PreparePlan(ctx, p, EngineMonet); !errors.Is(err, context.Canceled) {
+		t.Errorf("PreparePlan = %v, want context.Canceled", err)
 	}
-	if _, err := db.StreamPlanContext(ctx, p, EngineMonet); !errors.Is(err, context.Canceled) {
-		t.Errorf("StreamPlanContext = %v, want context.Canceled", err)
+	for door, st := range map[string]*Stmt{
+		"Prepare":     prepare(t, db, sampleQuery),
+		"PreparePlan": preparePlan(t, db, p, EngineMonet),
+	} {
+		if _, err := st.Query(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Stmt.Query = %v, want context.Canceled", door, err)
+		}
+		if _, err := st.Stream(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Stmt.Stream = %v, want context.Canceled", door, err)
+		}
+		if _, err := st.ExplainAnalyze(ctx); !errors.Is(err, context.Canceled) {
+			t.Errorf("%s: Stmt.ExplainAnalyze = %v, want context.Canceled", door, err)
+		}
 	}
-	if _, err := db.ExplainAnalyzeContext(ctx, p, EngineMonet); !errors.Is(err, context.Canceled) {
-		t.Errorf("ExplainAnalyzeContext = %v, want context.Canceled", err)
+	ask := prepare(t, db, `ASK { ?j <http://purl.org/dc/terms/issued> ?yr }`)
+	if _, err := ask.Ask(ctx); !errors.Is(err, context.Canceled) {
+		t.Errorf("Stmt.Ask = %v, want context.Canceled", err)
 	}
 }
 
 // TestStreamContextCancelMidStream cancels after the first row and
 // verifies the stream stops with ctx's error and releases every worker
-// goroutine — the sequential engine, the morsel-parallel engine, and
-// the RDF-3X substrate.
+// goroutine — through both front doors, on the sequential engine, the
+// morsel-parallel engine, and the RDF-3X substrate.
 func TestStreamContextCancelMidStream(t *testing.T) {
 	db := GenerateSP2Bench(60000, 1)
 	text := sp2bench.Queries()[1].Text
+	plan, err := db.Plan(text, PlannerHSP)
+	if err != nil {
+		t.Fatal(err)
+	}
 	cases := []struct {
-		name string
-		opts []ExecOption
+		name   string
+		engine Engine
+		par    int
 	}{
-		{"sequential", nil},
-		{"parallel", []ExecOption{WithParallelism(4)}},
-		{"rdf3x", []ExecOption{WithEngine(EngineRDF3X)}},
-		{"rdf3x-parallel", []ExecOption{WithEngine(EngineRDF3X), WithParallelism(4)}},
+		{"sequential", EngineMonet, 1},
+		{"parallel", EngineMonet, 4},
+		{"rdf3x", EngineRDF3X, 1},
+		{"rdf3x-parallel", EngineRDF3X, 4},
 	}
 	before := runtime.NumGoroutine()
 	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			rows, err := db.StreamContext(ctx, text, tc.opts...)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rows.Close()
-			if !rows.Next() {
-				t.Fatalf("no first row: %v", rows.Err())
-			}
-			cancel()
-			for rows.Next() {
-			}
-			if err := rows.Err(); !errors.Is(err, context.Canceled) {
-				t.Fatalf("Err() = %v, want context.Canceled", err)
-			}
-		})
+		for door, st := range map[string]*Stmt{
+			"Prepare":     prepare(t, db, text, WithEngine(tc.engine), WithParallelism(tc.par)),
+			"PreparePlan": preparePlan(t, db, plan, tc.engine, WithParallelism(tc.par)),
+		} {
+			t.Run(door+"/"+tc.name, func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				rows, err := st.Stream(ctx)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer rows.Close()
+				if !rows.Next() {
+					t.Fatalf("no first row: %v", rows.Err())
+				}
+				cancel()
+				for rows.Next() {
+				}
+				if err := rows.Err(); !errors.Is(err, context.Canceled) {
+					t.Fatalf("Err() = %v, want context.Canceled", err)
+				}
+			})
+		}
 	}
 	awaitGoroutines(t, before)
 }
 
 // TestQueryContextDeadline: an expired deadline aborts materialised
-// runs with context.DeadlineExceeded.
+// runs with context.DeadlineExceeded, through both front doors.
 func TestQueryContextDeadline(t *testing.T) {
 	db := openSample(t)
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Minute))
@@ -108,31 +128,35 @@ func TestQueryContextDeadline(t *testing.T) {
 	if _, err := db.QueryContext(ctx, sampleQuery); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("QueryContext = %v, want context.DeadlineExceeded", err)
 	}
+	p, err := db.Plan(sampleQuery, PlannerHSP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := db.PreparePlan(ctx, p, EngineMonet); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("PreparePlan = %v, want context.DeadlineExceeded", err)
+	}
+	if _, err := preparePlan(t, db, p, EngineMonet).Query(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("PreparePlan Stmt.Query = %v, want context.DeadlineExceeded", err)
+	}
 }
 
-// TestQueryContextMatchesQuery: the context path returns exactly what
-// the classic path returns, cache on and off, for the whole workload.
+// TestQueryContextMatchesQuery: the plan cache changes nothing about
+// the answer — a miss and a guaranteed hit both return exactly what the
+// uncached path returns, for the whole workload.
 func TestQueryContextMatchesQuery(t *testing.T) {
 	db := GenerateSP2Bench(25000, 1)
 	ctx := context.Background()
 	for _, q := range sp2bench.Queries() {
-		want, err := db.Query(q.Text)
+		want, err := db.QueryContext(ctx, q.Text)
 		if err != nil {
 			t.Fatalf("%s: %v", q.Name, err)
-		}
-		got, err := db.QueryContext(ctx, q.Text)
-		if err != nil {
-			t.Fatalf("%s: %v", q.Name, err)
-		}
-		if got.String() != want.String() {
-			t.Errorf("%s: QueryContext differs from Query", q.Name)
 		}
 		cached, err := db.QueryContext(ctx, q.Text, WithPlanCache(64))
 		if err != nil {
 			t.Fatalf("%s (cached): %v", q.Name, err)
 		}
 		if cached.String() != want.String() {
-			t.Errorf("%s: cached QueryContext differs from Query", q.Name)
+			t.Errorf("%s: cached QueryContext differs from uncached", q.Name)
 		}
 		// Second serve: a guaranteed cache hit must still match.
 		hit, err := db.QueryContext(ctx, q.Text, WithPlanCache(64))
@@ -140,7 +164,7 @@ func TestQueryContextMatchesQuery(t *testing.T) {
 			t.Fatalf("%s (hit): %v", q.Name, err)
 		}
 		if hit.String() != want.String() {
-			t.Errorf("%s: cache-hit QueryContext differs from Query", q.Name)
+			t.Errorf("%s: cache-hit QueryContext differs from uncached", q.Name)
 		}
 	}
 	s := db.PlanCacheStats()
@@ -149,27 +173,42 @@ func TestQueryContextMatchesQuery(t *testing.T) {
 	}
 }
 
-// TestPlanCacheHitInExplainAnalyze: the acceptance check that a
-// repeated query shows a plan-cache hit in EXPLAIN ANALYZE.
+// TestPlanCacheHitInExplainAnalyze: a statement prepared with
+// WithPlanCache opens its EXPLAIN ANALYZE with the cache outcome of its
+// Prepare — a miss first, a hit for the repeat — and keeps its
+// per-operator metrics; a statement prepared without the option, or
+// from a plan, prints no such line.
 func TestPlanCacheHitInExplainAnalyze(t *testing.T) {
 	db := openSample(t)
 	ctx := context.Background()
-	first, err := db.ExplainAnalyzeQuery(ctx, sampleQuery, WithPlanCache(8))
+	for i, want := range []string{"plan cache: miss ", "plan cache: hit "} {
+		out, err := prepare(t, db, sampleQuery, WithPlanCache(8)).ExplainAnalyze(ctx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(out, want) || !strings.Contains(out, " epoch=0 size=1/8\n") {
+			t.Errorf("run %d should start with %q and report epoch and occupancy:\n%s", i, want, out)
+		}
+		if !strings.Contains(out, "rows=") || !strings.Contains(out, "time=") {
+			t.Errorf("EXPLAIN ANALYZE lost its per-operator metrics:\n%s", out)
+		}
+	}
+	plain, err := prepare(t, db, sampleQuery).ExplainAnalyze(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(first, "plan cache: miss") {
-		t.Errorf("first run should report a miss:\n%s", first)
-	}
-	second, err := db.ExplainAnalyzeQuery(ctx, sampleQuery, WithPlanCache(8))
+	plan, err := db.Plan(sampleQuery, PlannerHSP)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(second, "plan cache: hit") {
-		t.Errorf("second run should report a hit:\n%s", second)
+	planned, err := preparePlan(t, db, plan, EngineMonet, WithPlanCache(8)).ExplainAnalyze(ctx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !strings.Contains(second, "rows=") || !strings.Contains(second, "time=") {
-		t.Errorf("EXPLAIN ANALYZE lost its per-operator metrics:\n%s", second)
+	for _, out := range []string{plain, planned} {
+		if strings.Contains(out, "plan cache:") {
+			t.Errorf("plan-cache line without a cached Prepare:\n%s", out)
+		}
 	}
 }
 
@@ -205,7 +244,7 @@ func TestPlanCacheConcurrentServing(t *testing.T) {
 	qs := sp2bench.Queries()[:4]
 	want := make([]string, len(qs))
 	for i, q := range qs {
-		res, err := db.Query(q.Text)
+		res, err := db.QueryContext(context.Background(), q.Text)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -239,21 +278,21 @@ func TestPlanCacheConcurrentServing(t *testing.T) {
 	}
 }
 
-// TestAskContext covers the ASK path under context and cache.
-func TestAskContext(t *testing.T) {
+// TestAskPlanCache covers the ASK path through the plan cache.
+func TestAskPlanCache(t *testing.T) {
 	db := openSample(t)
 	ctx := context.Background()
 	ask := `ASK { ?j <http://purl.org/dc/terms/issued> "1940" }`
 	for i := 0; i < 2; i++ {
-		ok, err := db.AskContext(ctx, ask, WithPlanCache(4))
+		ok, err := prepare(t, db, ask, WithPlanCache(4)).Ask(ctx)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
-			t.Fatal("AskContext = false, want true")
+			t.Fatal("Stmt.Ask = false, want true")
 		}
 	}
-	if _, err := db.AskContext(ctx, sampleQuery); err == nil {
-		t.Error("AskContext accepted a SELECT query")
+	if s := db.PlanCacheStats(); s.Hits != 1 || s.Misses != 1 {
+		t.Errorf("PlanCacheStats = %+v, want one miss then one hit", s)
 	}
 }

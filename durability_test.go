@@ -68,7 +68,7 @@ func TestOpenCommitReopen(t *testing.T) {
 		t.Fatalf("recovered epoch %d with %d triples, want 5/5", re.Epoch(), re.NumTriples())
 	}
 	for i := 1; i <= 5; i++ {
-		ok, err := re.Ask(fmt.Sprintf(`ASK { <http://e/s%d> <http://e/p> ?o }`, i))
+		ok, err := prepare(t, re, fmt.Sprintf(`ASK { <http://e/s%d> <http://e/p> ?o }`, i)).Ask(context.Background())
 		if err != nil || !ok {
 			t.Fatalf("triple %d missing after recovery (%v)", i, err)
 		}
@@ -123,7 +123,7 @@ func TestOpenRecoversDeletes(t *testing.T) {
 	if re.Epoch() != 2 || re.NumTriples() != 2 {
 		t.Fatalf("recovered epoch %d with %d triples, want 2/2", re.Epoch(), re.NumTriples())
 	}
-	if ok, _ := re.Ask(`ASK { <http://e/s2> <http://e/p> ?o }`); ok {
+	if ok, _ := prepare(t, re, `ASK { <http://e/s2> <http://e/p> ?o }`).Ask(context.Background()); ok {
 		t.Fatal("deleted triple resurfaced after recovery")
 	}
 }
@@ -332,7 +332,7 @@ func TestPowerCut(t *testing.T) {
 		t.Fatalf("%d triples at epoch %d — partial commit visible after power cut", db.NumTriples(), epoch)
 	}
 	for i := 1; i <= epoch; i++ {
-		ok, err := db.Ask(fmt.Sprintf(`ASK { <http://e/s%d> <http://e/p> ?o }`, i))
+		ok, err := prepare(t, db, fmt.Sprintf(`ASK { <http://e/s%d> <http://e/p> ?o }`, i)).Ask(context.Background())
 		if err != nil || !ok {
 			t.Fatalf("triple %d missing after power cut recovery (%v)", i, err)
 		}

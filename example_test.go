@@ -20,12 +20,13 @@ const exampleData = `
 `
 
 // The paper's Section 3 example: which year was "Journal 1 (1940)" issued?
-func ExampleDB_Query() {
+func ExampleStmt_Query() {
 	db, err := hsp.OpenNTriples(strings.NewReader(exampleData))
 	if err != nil {
 		log.Fatal(err)
 	}
-	res, err := db.Query(`
+	ctx := context.Background()
+	stmt, err := db.Prepare(ctx, `
 		PREFIX rdf:     <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 		PREFIX dc:      <http://purl.org/dc/elements/1.1/>
 		PREFIX dcterms: <http://purl.org/dc/terms/>
@@ -33,6 +34,11 @@ func ExampleDB_Query() {
 		WHERE { ?jrnl rdf:type <http://bench/Journal> .
 		        ?jrnl dc:title "Journal 1 (1940)" .
 		        ?jrnl dcterms:issued ?yr . }`)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stmt.Close()
+	res, err := stmt.Query(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -66,7 +72,7 @@ func ExampleDB_Plan() {
 }
 
 // The same plan can run on either substrate.
-func ExampleDB_Execute() {
+func ExampleDB_PreparePlan() {
 	db, err := hsp.OpenNTriples(strings.NewReader(exampleData))
 	if err != nil {
 		log.Fatal(err)
@@ -76,8 +82,13 @@ func ExampleDB_Execute() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 	for _, engine := range []hsp.Engine{hsp.EngineMonet, hsp.EngineRDF3X} {
-		res, err := db.Execute(plan, engine)
+		stmt, err := db.PreparePlan(ctx, plan, engine)
+		if err != nil {
+			log.Fatal(err)
+		}
+		res, err := stmt.Query(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -139,8 +150,6 @@ func ExampleDB_StreamContext() {
 	// context canceled
 }
 
-// With a plan cache, repeated queries skip parsing, planning and
-// compilation: only the first request misses.
 // Prepared statements plan once and bind many: $title is planned as an
 // unbound-but-typed constant, and each execution substitutes its bound
 // value into the compiled plan at run time.
@@ -170,6 +179,8 @@ func ExampleDB_Prepare() {
 	// Journal 1 (1941) -> 1941
 }
 
+// With a plan cache, repeated queries skip parsing, planning and
+// compilation: only the first request misses.
 func ExampleDB_QueryContext_planCache() {
 	db, err := hsp.OpenNTriples(strings.NewReader(exampleData))
 	if err != nil {

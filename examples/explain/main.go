@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -43,7 +44,7 @@ func main() {
 	fmt.Printf("\nPlan: %d merge joins, %d hash joins, shape %s\n\n",
 		plan.MergeJoins(), plan.HashJoins(), plan.Shape())
 
-	tree, err := db.Explain(plan, hsp.EngineMonet)
+	tree, err := db.ExplainContext(context.Background(), plan, hsp.EngineMonet)
 	if err != nil {
 		log.Fatal(err)
 	}

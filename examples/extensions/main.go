@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -27,7 +28,8 @@ func main() {
 	// 1. OPTIONAL — SP²Bench Q2's real shape: inproceedings with their
 	// (possibly missing) abstracts.
 	fmt.Println("--- OPTIONAL: inproceedings, abstract if present ---")
-	res, err := db.Query(prefixes + `
+	ctx := context.Background()
+	res, err := db.QueryContext(ctx, prefixes+`
 		SELECT ?inproc ?abstract
 		WHERE {
 			?inproc rdf:type bench:Inproceedings .
@@ -50,7 +52,7 @@ func main() {
 
 	// 2. UNION — publications of either kind issued in 1950.
 	fmt.Println("\n--- UNION: articles or inproceedings of 1950 ---")
-	res, err = db.Query(prefixes + `
+	res, err = db.QueryContext(ctx, prefixes+`
 		SELECT DISTINCT ?pub
 		WHERE {
 			{ ?pub rdf:type bench:Article .        ?pub dcterms:issued "1950" }
@@ -83,7 +85,11 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		r, err := db.Execute(plan, hsp.EngineMonet)
+		stmt, err := db.PreparePlan(ctx, plan, hsp.EngineMonet)
+		if err != nil {
+			log.Fatal(err)
+		}
+		r, err := stmt.Query(ctx)
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -32,7 +32,7 @@ func main() {
 
 	// A stream opened now pins the epoch-0 snapshot — whatever commits
 	// later, it returns exactly the pre-commit rows.
-	rows, err := db.Stream(query, hsp.WithPlanCache(64))
+	rows, err := db.StreamContext(ctx, query, hsp.WithPlanCache(64))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -31,7 +32,7 @@ func main() {
 
 	// The example query of the paper's Section 3: the year and journal
 	// titled "Journal 1 (1940)" that was revised in 1942.
-	res, err := db.Query(`
+	res, err := db.QueryContext(context.Background(), `
 		PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 		SELECT ?yr ?jrnl
 		WHERE { ?jrnl rdf:type <http://bench/Journal> .

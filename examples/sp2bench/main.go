@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -48,6 +49,7 @@ func main() {
 	db := hsp.GenerateSP2Bench(100000, 1)
 	fmt.Printf("loaded %d triples\n\n", db.NumTriples())
 
+	ctx := context.Background()
 	for _, q := range []struct{ name, text string }{{"SP1", sp1}, {"SP2a", sp2a}} {
 		fmt.Printf("=== %s ===\n", q.name)
 		for _, pk := range []hsp.Planner{hsp.PlannerHSP, hsp.PlannerCDP, hsp.PlannerSQL} {
@@ -60,7 +62,11 @@ func main() {
 				engine = hsp.EngineRDF3X // CDP is RDF-3X's planner
 			}
 			start := time.Now()
-			res, err := db.Execute(plan, engine)
+			stmt, err := db.PreparePlan(ctx, plan, engine)
+			if err != nil {
+				log.Fatalf("%s/%s: %v", q.name, pk, err)
+			}
+			res, err := stmt.Query(ctx)
 			if err != nil {
 				log.Fatalf("%s/%s: %v", q.name, pk, err)
 			}

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -26,7 +27,8 @@ func main() {
 	// Stream with four workers: hash-join build sides run concurrently
 	// and large build scans are split into morsels. Rows arrive one at
 	// a time; the full result never has to fit in memory.
-	rows, err := db.Stream(query, hsp.WithParallelism(4))
+	ctx := context.Background()
+	rows, err := db.StreamContext(ctx, query, hsp.WithParallelism(4))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -51,7 +53,12 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	out, err := db.ExplainAnalyze(plan, hsp.EngineMonet, hsp.WithParallelism(4))
+	stmt, err := db.PreparePlan(ctx, plan, hsp.EngineMonet, hsp.WithParallelism(4))
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer stmt.Close()
+	out, err := stmt.ExplainAnalyze(ctx)
 	if err != nil {
 		log.Fatal(err)
 	}

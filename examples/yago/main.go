@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -46,7 +47,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err := db.Explain(p3, hsp.EngineMonet)
+	ctx := context.Background()
+	tree, err := db.ExplainContext(ctx, p3, hsp.EngineMonet)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -59,7 +61,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err = db.Explain(ph, hsp.EngineMonet)
+	tree, err = db.ExplainContext(ctx, ph, hsp.EngineMonet)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -71,7 +73,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	tree, err = db.Explain(pc, hsp.EngineRDF3X)
+	tree, err = db.ExplainContext(ctx, pc, hsp.EngineRDF3X)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package hsp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -44,7 +45,7 @@ func TestOptionalEndToEnd(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", planner, err)
 		}
-		res, err := db.Execute(plan, EngineMonet)
+		res, err := preparePlan(t, db, plan, EngineMonet).Query(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", planner, err)
 		}
@@ -66,7 +67,7 @@ func TestOptionalEndToEnd(t *testing.T) {
 
 func TestOptionalFilterScopedToGroup(t *testing.T) {
 	db := openExt(t)
-	res, err := db.Query(`
+	res, err := db.QueryContext(context.Background(), `
 		PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 		SELECT ?i ?abs
 		WHERE {
@@ -111,7 +112,7 @@ func TestUnionEndToEnd(t *testing.T) {
 	if plan.Branches() != 2 {
 		t.Fatalf("branches = %d", plan.Branches())
 	}
-	res, err := db.Execute(plan, EngineMonet)
+	res, err := preparePlan(t, db, plan, EngineMonet).Query(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestUnionDistinct(t *testing.T) {
 	db := openExt(t)
 	// Both branches match the same creators; DISTINCT dedups across
 	// branches.
-	res, err := db.Query(`
+	res, err := db.QueryContext(context.Background(), `
 		SELECT DISTINCT ?who
 		WHERE {
 			{ <http://ex/i1> <http://dc/creator> ?who }
@@ -141,7 +142,7 @@ func TestUnionDistinct(t *testing.T) {
 
 func TestOrderLimitOffset(t *testing.T) {
 	db := openExt(t)
-	res, err := db.Query(`
+	res, err := db.QueryContext(context.Background(), `
 		PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 		SELECT ?i
 		WHERE { ?i rdf:type <http://bench/Inproceedings> }
@@ -161,7 +162,7 @@ func TestOrderLimitOffset(t *testing.T) {
 
 func TestOrderByAscKeyword(t *testing.T) {
 	db := openExt(t)
-	res, err := db.Query(`
+	res, err := db.QueryContext(context.Background(), `
 		PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 		SELECT ?i WHERE { ?i rdf:type <http://bench/Inproceedings> } ORDER BY ASC(?i) LIMIT 1`)
 	if err != nil {
@@ -200,11 +201,11 @@ func TestHybridPlannerEndToEnd(t *testing.T) {
 			yp.MergeJoins(), yp.HashJoins(), hp.MergeJoins(), hp.HashJoins())
 	}
 	// ...and identical results.
-	hr, err := db.Execute(hp, EngineMonet)
+	hr, err := preparePlan(t, db, hp, EngineMonet).Query(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	yr, err := db.Execute(yp, EngineMonet)
+	yr, err := preparePlan(t, db, yp, EngineMonet).Query(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,16 +221,17 @@ func TestHybridPlannerEndToEnd(t *testing.T) {
 
 func TestAskQueries(t *testing.T) {
 	db := openExt(t)
-	yes, err := db.Ask(`
+	ctx := context.Background()
+	yes, err := prepare(t, db, `
 		PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
-		ASK { ?i rdf:type <http://bench/Inproceedings> }`)
+		ASK { ?i rdf:type <http://bench/Inproceedings> }`).Ask(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !yes {
 		t.Error("ASK over existing data = false")
 	}
-	no, err := db.Ask(`ASK { ?i <http://no/such> "thing" }`)
+	no, err := prepare(t, db, `ASK { ?i <http://no/such> "thing" }`).Ask(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,11 +239,11 @@ func TestAskQueries(t *testing.T) {
 		t.Error("ASK over absent data = true")
 	}
 	// ASK with a join and a filter.
-	yes, err = db.Ask(`
+	yes, err = prepare(t, db, `
 		PREFIX rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#>
 		ASK { ?i rdf:type <http://bench/Inproceedings> .
 		      ?i <http://bench/abstract> ?a .
-		      FILTER (?a != "nope") }`)
+		      FILTER (?a != "nope") }`).Ask(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +251,7 @@ func TestAskQueries(t *testing.T) {
 		t.Error("ASK with join = false")
 	}
 	// Ask on a SELECT query errors.
-	if _, err := db.Ask(`SELECT ?s { ?s ?p ?o }`); err == nil {
+	if _, err := prepare(t, db, `SELECT ?s { ?s ?p ?o }`).Ask(ctx); err == nil {
 		t.Error("Ask accepted a SELECT query")
 	}
 	// ASK round-trips through String().

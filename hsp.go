@@ -18,22 +18,23 @@
 // are planned as unbound-but-typed constants and bound per execution
 // with Bind, so re-executing with new values costs a bind, not a
 // re-plan. Stmt carries every verb ctx-first: Query, Stream, Ask and
-// ExplainAnalyze. The one-shot convenience verbs (Query, Stream, Ask,
-// Execute, ExplainAnalyze and their Context twins) are thin shims over
-// the same Prepare + Stmt core.
+// ExplainAnalyze. QueryContext and StreamContext are one-shot
+// conveniences over the same Prepare + Stmt core.
 //
-// Planner and engine can be chosen independently:
+// Planner and engine can be chosen independently; PreparePlan is the
+// second front door, for a plan already built:
 //
-//	plan, _ := db.Plan(query, hsp.PlannerHSP)   // or PlannerCDP, PlannerSQL, PlannerHybrid
-//	res, _ := db.Execute(plan, hsp.EngineRDF3X) // or EngineMonet
+//	plan, _ := db.Plan(query, hsp.PlannerHSP)             // or PlannerCDP, PlannerSQL, PlannerHybrid
+//	stmt, _ := db.PreparePlan(ctx, plan, hsp.EngineRDF3X) // or EngineMonet
+//	res, _ := stmt.Query(ctx)
 //
 // Results can also be streamed row by row instead of materialised, with
 // optional intra-query parallelism, and plans profiled per operator:
 //
-//	rows, _ := db.Stream(query, hsp.WithParallelism(4))
+//	rows, _ := stmt.Stream(ctx)
 //	defer rows.Close()
 //	for rows.Next() { use(rows.Row()) }
-//	out, _ := db.ExplainAnalyze(plan, hsp.EngineMonet) // EXPLAIN ANALYZE
+//	out, _ := stmt.ExplainAnalyze(ctx) // EXPLAIN ANALYZE
 //
 // For serving workloads, every execution path honours cancellation and
 // deadlines, repeated queries skip planning via the shared
@@ -402,7 +403,7 @@ func (db *DB) NumTriples() int { return db.loadState().snap.NumTriples() }
 // planner. UNION queries yield one sub-plan per branch. The plan is
 // pinned to the snapshot current at planning time: its statistics,
 // compilation and executions all read that snapshot, even after later
-// commits.
+// commits. Execute it with PreparePlan.
 // Pass WithRewrites to control the algebraic rewrite pass (all rules
 // run by default); other execution options are ignored at planning
 // time.
@@ -591,28 +592,10 @@ func engineFor(state *dbState, e Engine) (*exec.Engine, error) {
 	}
 }
 
-// Execute runs a plan on the chosen engine and materialises the
-// result: UNION branches are concatenated, then DISTINCT, ORDER BY,
-// OFFSET and LIMIT are applied. Pass WithParallelism to let the
-// executor use concurrent workers; Stream and StreamPlan avoid
-// materialisation entirely. ExecuteContext additionally supports
-// cancellation and deadlines.
-func (db *DB) Execute(p *Plan, e Engine, opts ...ExecOption) (*Result, error) {
-	//hsp:lint-allow ctxflow documented context-less compatibility verb; ExecuteContext is the cancellable path
-	return db.ExecuteContext(context.Background(), p, e, opts...)
-}
-
-// Explain executes the plan and renders its operator tree(s) annotated
-// with observed per-operator cardinalities, the format of the paper's
-// plan figures. ExplainContext additionally supports cancellation and
-// deadlines.
-func (db *DB) Explain(p *Plan, e Engine) (string, error) {
-	//hsp:lint-allow ctxflow documented context-less compatibility verb; ExplainContext is the cancellable path
-	return db.ExplainContext(context.Background(), p, e)
-}
-
-// ExplainContext is Explain under a caller context: a cancelled context
-// aborts the cardinality-gathering execution and returns its error.
+// ExplainContext executes the plan and renders its operator tree(s)
+// annotated with observed per-operator cardinalities, the format of the
+// paper's plan figures. A cancelled context aborts the
+// cardinality-gathering execution and returns its error.
 func (db *DB) ExplainContext(ctx context.Context, p *Plan, e Engine) (string, error) {
 	eng, err := engineFor(p.state, e)
 	if err != nil {
@@ -630,36 +613,6 @@ func (db *DB) ExplainContext(ctx context.Context, p *Plan, e Engine) (string, er
 		fmt.Fprintf(&b, "UNION branch %d:\n%s", i, tree)
 	}
 	return b.String(), nil
-}
-
-// ExplainAnalyze executes the plan with per-operator instrumentation
-// and renders the operator tree(s) annotated with observed row counts,
-// wall times and hash-join build sizes — EXPLAIN ANALYZE. Each UNION
-// branch gets a run summary line followed by its tree; ORDER BY plans
-// additionally report the streaming sort operator's "sort:" line with
-// its spilled-runs and spilled-bytes counters.
-func (db *DB) ExplainAnalyze(p *Plan, e Engine, opts ...ExecOption) (string, error) {
-	//hsp:lint-allow ctxflow documented context-less compatibility verb; ExplainAnalyzeContext is the cancellable path
-	return db.ExplainAnalyzeContext(context.Background(), p, e, opts...)
-}
-
-// Query is the convenience path: HSP planning on the column substrate
-// (override with WithPlanner/WithEngine). QueryContext additionally
-// supports cancellation, deadlines and the compiled-plan cache. Like
-// every legacy verb it is a shim over Prepare + Stmt; prepare the query
-// yourself to execute it repeatedly without re-parsing or re-planning.
-func (db *DB) Query(query string, opts ...ExecOption) (*Result, error) {
-	//hsp:lint-allow ctxflow documented context-less compatibility verb; QueryContext is the cancellable path
-	return db.QueryContext(context.Background(), query, opts...)
-}
-
-// Ask evaluates an ASK query: whether at least one solution exists. The
-// executor stops at the first solution found. AskContext additionally
-// supports cancellation, deadlines and the compiled-plan cache. It is a
-// shim over Prepare + Stmt.Ask.
-func (db *DB) Ask(query string, opts ...ExecOption) (bool, error) {
-	//hsp:lint-allow ctxflow documented context-less compatibility verb; AskContext is the cancellable path
-	return db.AskContext(context.Background(), query, opts...)
 }
 
 // Result is a materialised query answer (a multiset of mappings).

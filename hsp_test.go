@@ -1,6 +1,7 @@
 package hsp
 
 import (
+	"context"
 	"strings"
 	"testing"
 )
@@ -32,12 +33,32 @@ func openSample(t *testing.T) *DB {
 	return db
 }
 
+// prepare prepares a query text, failing the test on error.
+func prepare(t testing.TB, db *DB, q string, opts ...ExecOption) *Stmt {
+	t.Helper()
+	st, err := db.Prepare(context.Background(), q, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
+// preparePlan wraps a plan as a statement, failing the test on error.
+func preparePlan(t testing.TB, db *DB, p *Plan, e Engine, opts ...ExecOption) *Stmt {
+	t.Helper()
+	st, err := db.PreparePlan(context.Background(), p, e, opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return st
+}
+
 func TestQueryEndToEnd(t *testing.T) {
 	db := openSample(t)
 	if db.NumTriples() != 6 {
 		t.Fatalf("NumTriples = %d", db.NumTriples())
 	}
-	res, err := db.Query(sampleQuery)
+	res, err := db.QueryContext(context.Background(), sampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +86,7 @@ func TestAllPlannersAllEngines(t *testing.T) {
 			t.Errorf("%s: empty plan metadata", p)
 		}
 		for _, e := range []Engine{EngineMonet, EngineRDF3X} {
-			res, err := db.Execute(plan, e)
+			res, err := preparePlan(t, db, plan, e).Query(context.Background())
 			if err != nil {
 				t.Fatalf("%s/%s: %v", p, e, err)
 			}
@@ -108,7 +129,7 @@ func TestExplain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	out, err := db.Explain(plan, EngineMonet)
+	out, err := db.ExplainContext(context.Background(), plan, EngineMonet)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +175,7 @@ func TestErrorPaths(t *testing.T) {
 		t.Error("unknown planner accepted")
 	}
 	plan, _ := db.Plan(sampleQuery, PlannerHSP)
-	if _, err := db.Execute(plan, "nope"); err == nil {
+	if _, err := db.PreparePlan(context.Background(), plan, "nope"); err == nil {
 		t.Error("unknown engine accepted")
 	}
 	if _, err := OpenNTriples(strings.NewReader("garbage")); err == nil {

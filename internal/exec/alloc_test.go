@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"context"
 	"testing"
 
 	"github.com/sparql-hsp/hsp/internal/sp2bench"
@@ -22,7 +23,7 @@ func TestRunAllocsIndependentOfRows(t *testing.T) {
 		t.Skip("the race detector makes sync.Pool drop batches at random")
 	}
 	drain := func(c *Compiled) (rows int) {
-		run := c.Run(Options{})
+		run := c.RunContext(context.Background(), Options{})
 		defer run.Close()
 		for run.Next() {
 			rows++

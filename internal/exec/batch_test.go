@@ -45,7 +45,7 @@ func dumpOrdered(t *testing.T, branches []*Compiled, opts Options) string {
 	t.Helper()
 	var b strings.Builder
 	for _, c := range branches {
-		run := c.Run(opts)
+		run := c.RunContext(context.Background(), opts)
 		for run.Next() {
 			fmt.Fprintln(&b, run.Row())
 		}
@@ -104,7 +104,7 @@ func analyzeRows(t *testing.T, branches []*Compiled, opts Options) string {
 	opts.Analyze = true
 	var b strings.Builder
 	for _, c := range branches {
-		run := c.Run(opts)
+		run := c.RunContext(context.Background(), opts)
 		for run.Next() {
 		}
 		run.Close()
@@ -396,7 +396,7 @@ func TestRowCountsExactBelowEarlyStop(t *testing.T) {
 			// The consumer itself stopping early (LIMIT: Close after five
 			// rows) is passed down the same way.
 			closedEarly := func() string {
-				run := c.Run(Options{Analyze: true})
+				run := c.RunContext(context.Background(), Options{Analyze: true})
 				for i := 0; i < 5; i++ {
 					run.Next()
 				}
@@ -452,7 +452,7 @@ func TestCloseMidStreamReturnsBatches(t *testing.T) {
 		before := runtime.NumGoroutine()
 		for _, par := range []int{1, 4} {
 			for i := 0; i < 10; i++ {
-				run := c.Run(Options{Parallelism: par, ExchangeThreshold: 1})
+				run := c.RunContext(context.Background(), Options{Parallelism: par, ExchangeThreshold: 1})
 				for j := 0; j < 5+i*1000; j++ {
 					if !run.Next() {
 						t.Fatalf("%s parallelism=%d: run ended after %d rows: %v", name, par, j, run.Err())

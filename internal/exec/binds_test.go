@@ -74,7 +74,7 @@ func TestBindMissingParam(t *testing.T) {
 		t.Fatalf("err = %v, want ErrUnboundParam", err)
 	}
 	// A run constructor error must not leak goroutines or require Close.
-	run := c.Run(Options{Parallelism: 4})
+	run := c.RunContext(context.Background(), Options{Parallelism: 4})
 	if run.Next() {
 		t.Error("unbound run emitted a row")
 	}

@@ -162,8 +162,8 @@ func (r *Result) Dedup() {
 }
 
 // Execute runs a plan to completion with default options under ctx.
-// Streaming consumers use Compile and Run directly; ExecuteContext
-// takes Options.
+// Streaming consumers use Compile and RunContext directly;
+// ExecuteContext takes Options.
 func (e *Engine) Execute(ctx context.Context, p *algebra.Plan) (*Result, error) {
 	return e.ExecuteContext(ctx, p, Options{})
 }
@@ -181,7 +181,7 @@ func (e *Engine) ExecuteContext(ctx context.Context, p *algebra.Plan, opts Optio
 
 // ExecuteContext runs the compiled plan to completion under ctx and
 // materialises every row. The compiled plan is immutable and safe for
-// any number of concurrent ExecuteContext and Run calls.
+// any number of concurrent ExecuteContext and RunContext calls.
 func (c *Compiled) ExecuteContext(ctx context.Context, opts Options) (*Result, error) {
 	res, _, err := c.runMaterialised(ctx, opts, false)
 	return res, err

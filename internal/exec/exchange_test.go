@@ -51,7 +51,7 @@ func probeHeavyFixture(t testing.TB, n int) (*store.Store, *algebra.Plan) {
 // exchangeStats drains a run and returns its rows plus exchange stats.
 func exchangeStats(t *testing.T, c *Compiled, opts Options) (*Result, []*ExchangeStats) {
 	t.Helper()
-	run := c.Run(opts)
+	run := c.RunContext(context.Background(), opts)
 	defer run.Close()
 	res := &Result{d: c.dict, Vars: c.Vars()}
 	for run.Next() {
@@ -177,14 +177,14 @@ func TestCloseReportsWorkerErrorUnpulled(t *testing.T) {
 	hj := g.scatter.stages[0].(*hashJoinOp)
 	hj.build, hj.morsel = &errBuildOp{err: boom}, nil
 
-	run := c.Run(Options{Parallelism: 4})
+	run := c.RunContext(context.Background(), Options{Parallelism: 4})
 	run.Close() // never pulled a row
 	if err := run.Err(); !errors.Is(err, boom) {
 		t.Fatalf("Err after unpulled Close = %v, want %v", err, boom)
 	}
 
 	// The same error must also surface when the consumer does pull.
-	run = c.Run(Options{Parallelism: 4})
+	run = c.RunContext(context.Background(), Options{Parallelism: 4})
 	if run.Next() {
 		t.Fatal("run with failed build produced a row")
 	}
@@ -205,7 +205,7 @@ func TestExchangeCloseMidStreamNoLeak(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		run := c.Run(Options{Parallelism: 4, ExchangeThreshold: 1})
+		run := c.RunContext(context.Background(), Options{Parallelism: 4, ExchangeThreshold: 1})
 		for j := 0; j < 5; j++ {
 			run.Next()
 		}
@@ -276,7 +276,7 @@ func TestOpStatsExchangeEntry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := c.Run(Options{Parallelism: 4, ExchangeThreshold: 1, Analyze: true})
+	run := c.RunContext(context.Background(), Options{Parallelism: 4, ExchangeThreshold: 1, Analyze: true})
 	for run.Next() {
 	}
 	if err := run.Err(); err != nil {

@@ -1044,20 +1044,13 @@ type Run struct {
 	closed bool
 }
 
-// Run starts a new execution. Parallel runs spawn their build-side
-// workers immediately; call Close to release them when abandoning the
-// run early.
-func (c *Compiled) Run(opts Options) *Run {
-	//hsp:lint-allow ctxflow documented context-less compatibility verb; RunContext is the cancellable path
-	return c.runCtx(context.Background(), opts, false)
-}
-
 // RunContext starts a new execution bound to ctx: when the context is
 // cancelled or its deadline fires, the run aborts cooperatively — at
 // batch pulls and morsel boundaries — and Err returns the context's
 // error. A context that is already cancelled yields a run that emits
-// nothing without opening the operator tree. Close must still be called
-// (or the run drained) to release resources.
+// nothing without opening the operator tree. Parallel runs spawn their
+// build-side workers immediately; Close must still be called (or the
+// run drained) to release resources.
 func (c *Compiled) RunContext(ctx context.Context, opts Options) *Run {
 	return c.runCtx(ctx, opts, false)
 }

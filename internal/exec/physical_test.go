@@ -24,7 +24,7 @@ import (
 // drainRun collects a run's rows into a Result for comparison.
 func drainRun(t *testing.T, c *Compiled, opts Options) *Result {
 	t.Helper()
-	run := c.Run(opts)
+	run := c.RunContext(context.Background(), opts)
 	defer run.Close()
 	res := &Result{d: c.dict, Vars: c.Vars()}
 	for run.Next() {
@@ -208,7 +208,7 @@ func TestRunCloseLeaksNoGoroutines(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		run := c.Run(Options{Parallelism: 4})
+		run := c.RunContext(context.Background(), Options{Parallelism: 4})
 		run.Next() // pull one row, then walk away
 		run.Close()
 	}

@@ -13,10 +13,10 @@ import (
 //
 // context.Background() and context.TODO() are therefore forbidden in
 // non-test library code. Binaries (package main) own their process
-// lifetime and are exempt; deliberate compatibility shims — the
-// context-less legacy verbs of the public facade — carry an
-// //hsp:lint-allow ctxflow annotation whose reason the framework
-// verifies is non-empty.
+// lifetime and are exempt; a library goroutine that genuinely has no
+// caller — recovery replay before a DB exists, a background compactor —
+// carries an //hsp:lint-allow ctxflow annotation whose reason the
+// framework verifies is non-empty.
 var CtxFlow = &Analyzer{
 	Name: "ctxflow",
 	Doc:  "no context.Background/TODO in non-test library code: the caller's ctx must flow through",

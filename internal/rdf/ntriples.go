@@ -149,10 +149,7 @@ func (p *lineParser) blank() (Term, error) {
 		return Term{}, p.errf("malformed blank node")
 	}
 	start := p.pos + 2
-	i := start
-	for i < len(p.in) && p.in[i] != ' ' && p.in[i] != '\t' {
-		i++
-	}
+	i := p.tokenEnd(start)
 	if i == start {
 		return Term{}, p.errf("empty blank node label")
 	}
@@ -219,10 +216,7 @@ func (p *lineParser) literal() (Term, error) {
 	// Optional ^^<datatype> or @lang suffix, kept verbatim in the value so
 	// that distinct typed literals stay distinct in the dictionary.
 	if i < len(p.in) && p.in[i] == '@' {
-		j := i
-		for j < len(p.in) && p.in[j] != ' ' && p.in[j] != '\t' {
-			j++
-		}
+		j := p.tokenEnd(i + 1)
 		b.WriteString(p.in[i:j])
 		i = j
 	} else if i+1 < len(p.in) && p.in[i] == '^' && p.in[i+1] == '^' {
@@ -238,6 +232,25 @@ func (p *lineParser) literal() (Term, error) {
 	}
 	p.pos = i
 	return NewLiteral(b.String()), nil
+}
+
+// tokenEnd returns where a bare token starting at i — a blank-node
+// label or a language tag — ends: at the next space or tab. Neither may
+// end in '.', so a '.' that closes a non-empty token and is followed only
+// by the end of the line (or a comment) is the statement's terminating
+// '.', and is left for dot: `<s> <p> _:b.` and `<s> <p> "x"@en.` parse.
+func (p *lineParser) tokenEnd(i int) int {
+	j := i
+	for j < len(p.in) && p.in[j] != ' ' && p.in[j] != '\t' {
+		j++
+	}
+	if j-1 > i && p.in[j-1] == '.' {
+		rest := strings.TrimLeft(p.in[j:], " \t")
+		if rest == "" || rest[0] == '#' {
+			return j - 1
+		}
+	}
+	return j
 }
 
 func (p *lineParser) dot() error {

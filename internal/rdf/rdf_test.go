@@ -87,6 +87,49 @@ _:node1 <http://ex/p> _:node2 . # trailing comment
 	}
 }
 
+// TestParseNTriplesDotTouchingLastTerm: the terminating '.' may follow
+// the object with no space between — also after a blank-node label or a
+// language tag, which are read up to the next space and so must leave a
+// final '.' alone. Tokens whose '.' is followed by more of the statement
+// keep it, exactly as before.
+func TestParseNTriplesDotTouchingLastTerm(t *testing.T) {
+	s, p := NewIRI("http://ex/s"), NewIRI("http://ex/p")
+	for _, tc := range []struct {
+		line string
+		want Triple
+	}{
+		{`<http://ex/s> <http://ex/p> _:b2.`, Triple{s, p, NewBlank("b2")}},
+		{`<http://ex/s> <http://ex/p> "x"@en.`, Triple{s, p, NewLiteral("x@en")}},
+		{`<http://ex/s> <http://ex/p> "x"@en-GB.	# comment`, Triple{s, p, NewLiteral("x@en-GB")}},
+		{`<http://ex/s> <http://ex/p> _:b2. # comment`, Triple{s, p, NewBlank("b2")}},
+		{`<http://ex/s> <http://ex/p> <http://ex/o>.`, Triple{s, p, NewIRI("http://ex/o")}},
+		{`<http://ex/s> <http://ex/p> "x".`, Triple{s, p, NewLiteral("x")}},
+		{`<http://ex/s> <http://ex/p> "x"^^<http://ex/dt>.`, Triple{s, p, NewLiteral("x^^<http://ex/dt>")}},
+		// Not touching the final '.': the token keeps its dots.
+		{`<http://ex/s> <http://ex/p> _:b. .`, Triple{s, p, NewBlank("b.")}},
+		{`_:a.b <http://ex/p> "x"@en.GB .`, Triple{NewBlank("a.b"), p, NewLiteral("x@en.GB")}},
+		{`<http://ex/s> <http://ex/p> _:b...`, Triple{s, p, NewBlank("b..")}},
+	} {
+		got, err := ParseNTriples(tc.line)
+		if err != nil {
+			t.Errorf("%s: %v", tc.line, err)
+			continue
+		}
+		if len(got) != 1 || got[0] != tc.want {
+			t.Errorf("%s: got %v, want %v", tc.line, got, tc.want)
+		}
+	}
+	for _, bad := range []string{
+		`<http://ex/s> <http://ex/p> _:.`,   // the dot is no label
+		`<http://ex/s> <http://ex/p> "x"@.`, // nor a language tag
+		`_:b. <http://ex/p> <http://ex/o>`,  // still no terminator
+	} {
+		if _, err := ParseNTriples(bad); err == nil {
+			t.Errorf("ParseNTriples(%q) succeeded, want error", bad)
+		}
+	}
+}
+
 func TestParseNTriplesUnicodeEscape(t *testing.T) {
 	got, err := ParseNTriples(`<http://ex/s> <http://ex/p> "café" .`)
 	if err != nil {

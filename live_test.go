@@ -71,7 +71,7 @@ func TestLiveSnapshotIsolation(t *testing.T) {
 	const n = 32
 	db := openLive(t, n)
 
-	rows, err := db.Stream(liveQuery)
+	rows, err := db.StreamContext(context.Background(), liveQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +108,7 @@ func TestLiveSnapshotIsolation(t *testing.T) {
 	}
 
 	// A fresh query sees the new epoch's data.
-	res, err := db.Query(liveQuery)
+	res, err := db.QueryContext(context.Background(), liveQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestLivePlanCacheEpochMismatch(t *testing.T) {
 	// query runs liveQuery through the cache and checks it sees gen.
 	query := func(t *testing.T, db *DB, opts []ExecOption, gen string) {
 		t.Helper()
-		res, err := db.Query(liveQuery, opts...)
+		res, err := db.QueryContext(context.Background(), liveQuery, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -151,7 +151,7 @@ func TestLivePlanCacheEpochMismatch(t *testing.T) {
 	// explain checks the EXPLAIN ANALYZE cache line and run summary.
 	explain := func(t *testing.T, db *DB, opts []ExecOption, frags ...string) {
 		t.Helper()
-		out, err := db.ExplainAnalyzeQuery(context.Background(), liveQuery, opts...)
+		out, err := prepare(t, db, liveQuery, opts...).ExplainAnalyze(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +325,7 @@ func TestLiveConcurrentReadersWriter(t *testing.T) {
 				db := openLive(t, n)
 				if engine == EngineRDF3X {
 					// Build the epoch-0 index set before racing.
-					if _, err := db.Query(liveQuery, WithEngine(engine)); err != nil {
+					if _, err := db.QueryContext(context.Background(), liveQuery, WithEngine(engine)); err != nil {
 						t.Fatal(err)
 					}
 				}
@@ -526,7 +526,7 @@ func TestLiveMidCommitCancellation(t *testing.T) {
 		}
 		// Whatever happened, the served snapshot is internally
 		// consistent: the live marker query returns its 64 base rows.
-		res, err := db.Query(liveQuery)
+		res, err := db.QueryContext(context.Background(), liveQuery)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,7 +668,7 @@ func TestLiveSaveLoadEpoch(t *testing.T) {
 	if loaded.Epoch() != 2 {
 		t.Fatalf("reloaded epoch = %d, want 2", loaded.Epoch())
 	}
-	res, err := loaded.Query(liveQuery)
+	res, err := loaded.QueryContext(context.Background(), liveQuery)
 	if err != nil {
 		t.Fatal(err)
 	}

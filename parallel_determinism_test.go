@@ -31,17 +31,17 @@ func TestParallelDeterminism(t *testing.T) {
 			for _, e := range []Engine{EngineMonet, EngineRDF3X} {
 				t.Run(fmt.Sprintf("%s/%s/%s", s.name, q.Name, e), func(t *testing.T) {
 					texts := []string{q.Text}
-					if base, err := s.db.Query(q.Text, WithEngine(e)); err == nil && len(base.Vars()) > 0 {
+					if base, err := s.db.QueryContext(context.Background(), q.Text, WithEngine(e)); err == nil && len(base.Vars()) > 0 {
 						texts = append(texts, q.Text+"\nORDER BY ?"+base.Vars()[0])
 					}
 					for vi, text := range texts {
-						rows, err := s.db.Stream(text, WithEngine(e), WithParallelism(1))
+						rows, err := s.db.StreamContext(context.Background(), text, WithEngine(e), WithParallelism(1))
 						if err != nil {
 							t.Fatal(err)
 						}
 						want := orderedStreamLines(t, rows)
 						for _, par := range []int{2, 8} {
-							rows, err := s.db.Stream(text, WithEngine(e),
+							rows, err := s.db.StreamContext(context.Background(), text, WithEngine(e),
 								WithParallelism(par), WithExchangeThreshold(1))
 							if err != nil {
 								t.Fatal(err)
@@ -111,7 +111,7 @@ func TestParallelAbandonedStreamNoLeak(t *testing.T) {
 	text := probeHeavyQuery(t)
 	before := runtime.NumGoroutine()
 	for i := 0; i < 5; i++ {
-		rows, err := db.Stream(text, WithParallelism(8), WithExchangeThreshold(1))
+		rows, err := db.StreamContext(context.Background(), text, WithParallelism(8), WithExchangeThreshold(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -132,7 +132,7 @@ func TestParallelStreamAnalyzeWorkers(t *testing.T) {
 	db := GenerateSP2Bench(30000, 1)
 	text := probeHeavyQuery(t)
 	var exchanges []OpStats
-	rows, err := db.Stream(text, WithParallelism(4), WithExchangeThreshold(1),
+	rows, err := db.StreamContext(context.Background(), text, WithParallelism(4), WithExchangeThreshold(1),
 		WithMetricsSink(func(s OpStats) {
 			if s.Workers > 0 {
 				exchanges = append(exchanges, s)

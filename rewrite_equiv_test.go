@@ -11,6 +11,7 @@ package hsp
 // as a row diff.
 
 import (
+	"context"
 	"fmt"
 	"runtime"
 	"testing"
@@ -135,8 +136,8 @@ func runEquiv(t *testing.T, db *DB, text string, pl Planner, e Engine, par int) 
 	if par > 1 {
 		opts = append(opts, WithExchangeThreshold(1))
 	}
-	off, errOff := db.Query(text, append([]ExecOption{WithRewrites()}, opts...)...)
-	on, errOn := db.Query(text, opts...)
+	off, errOff := db.QueryContext(context.Background(), text, append([]ExecOption{WithRewrites()}, opts...)...)
+	on, errOn := db.QueryContext(context.Background(), text, opts...)
 	if (errOff == nil) != (errOn == nil) {
 		t.Fatalf("mode disagreement: rewrites-off err = %v, rewrites-on err = %v", errOff, errOn)
 	}

@@ -8,6 +8,7 @@ package hsp
 // so mutation starts from queries every rule fires on.
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -57,8 +58,8 @@ func FuzzRewrite(f *testing.F) {
 		}
 
 		db := rewriteFuzzDatabase()
-		off, errOff := db.Query(query, WithRewrites())
-		on, errOn := db.Query(query)
+		off, errOff := db.QueryContext(context.Background(), query, WithRewrites())
+		on, errOn := db.QueryContext(context.Background(), query)
 		if (errOff == nil) != (errOn == nil) {
 			t.Fatalf("mode disagreement for %q: rewrites-off err = %v, rewrites-on err = %v", query, errOff, errOn)
 		}

@@ -75,7 +75,7 @@ func mustComposition(t *testing.T, name string) string {
 func TestExplainAnalyzeRewriteLines(t *testing.T) {
 	db := GenerateSP2Bench(2000, 1)
 	text := mustComposition(t, "filter-pushdown-below-join")
-	out, err := db.ExplainAnalyzeQuery(context.Background(), text)
+	out, err := prepare(t, db, text).ExplainAnalyze(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -85,7 +85,7 @@ func TestExplainAnalyzeRewriteLines(t *testing.T) {
 	if strings.Index(out, "rewrite: ") > strings.Index(out, "rows=") {
 		t.Errorf("rewrite: lines must precede the operator trees:\n%s", out)
 	}
-	off, err := db.ExplainAnalyzeQuery(context.Background(), text, WithRewrites())
+	off, err := prepare(t, db, text, WithRewrites()).ExplainAnalyze(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

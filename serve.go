@@ -1,7 +1,7 @@
 // Serving path: context-bound execution and the compiled-plan cache.
 //
-// All execution — legacy verbs and prepared statements alike — funnels
-// through one core: compileQuery/compilePlan lower a query to immutable
+// All execution funnels through one core: compileQuery (behind Prepare)
+// and compilePlan (behind PreparePlan) lower a query to immutable
 // compiled branches (plan-cache aware, keyed by the normalised
 // parameterized template), and executeCompiled/streamCompiled run them
 // under the caller's context with the execution's parameter bindings,
@@ -12,7 +12,6 @@ package hsp
 import (
 	"context"
 	"fmt"
-	"strings"
 
 	"github.com/sparql-hsp/hsp/internal/exec"
 	"github.com/sparql-hsp/hsp/internal/rdf"
@@ -293,18 +292,12 @@ func (db *DB) executeCompiled(ctx context.Context, cq *compiledQuery, cfg execCo
 	return &Result{res: acc, dict: cq.compiled[0].Dict()}, nil
 }
 
-// QueryContext is Query bound to a caller context: cancelling ctx (or
-// its deadline firing) aborts the run mid-pipeline at the next operator
-// pull point or morsel boundary — sequential and morsel-parallel
-// engines alike — releases every worker goroutine, and returns the
-// context's error. A context already cancelled on entry returns its
-// error without planning or executing anything. With WithPlanCache,
-// repeated queries are served from the DB's shared compiled-plan cache
-// under their normalised template key, skipping planning and
-// compilation; WithPlanner and WithEngine override the defaults (HSP on
-// the column substrate). It is a shim over Prepare + Stmt.Query — the
-// single execution core; use Prepare directly to also skip re-parsing
-// on repeated executions and to bind $name parameters.
+// QueryContext prepares a query (HSP on the column substrate unless
+// WithPlanner/WithEngine say otherwise) and materialises its result:
+// Prepare + Stmt.Query in one call. Cancelling ctx (or its deadline
+// firing) aborts the run mid-pipeline at the next operator pull point
+// or morsel boundary, releases every worker goroutine, and returns the
+// context's error.
 func (db *DB) QueryContext(ctx context.Context, query string, opts ...ExecOption) (*Result, error) {
 	st, err := db.Prepare(ctx, query, opts...)
 	if err != nil {
@@ -312,84 +305,4 @@ func (db *DB) QueryContext(ctx context.Context, query string, opts ...ExecOption
 	}
 	defer st.Close()
 	return st.Query(ctx)
-}
-
-// ExecuteContext is Execute bound to a caller context; see QueryContext
-// for the cancellation contract. The plan cache does not apply here —
-// the caller already holds the plan. It is a shim over the prepared
-// statement core (the plan is wrapped, not re-planned).
-func (db *DB) ExecuteContext(ctx context.Context, p *Plan, e Engine, opts ...ExecOption) (*Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	st, err := db.prepareFromPlan(p, e, opts)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	return st.Query(ctx)
-}
-
-// AskContext is Ask bound to a caller context; see QueryContext for the
-// cancellation contract. WithPlanCache, WithPlanner and WithEngine
-// apply as in QueryContext. It is a shim over Prepare + Stmt.Ask.
-func (db *DB) AskContext(ctx context.Context, query string, opts ...ExecOption) (bool, error) {
-	st, err := db.Prepare(ctx, query, opts...)
-	if err != nil {
-		return false, err
-	}
-	defer st.Close()
-	return st.Ask(ctx)
-}
-
-// ExplainAnalyzeContext is ExplainAnalyze bound to a caller context: a
-// cancelled context aborts the instrumented run and returns its error.
-// Plans with ORDER BY run through the streaming sort operator, so the
-// output includes its "sort:" line with the spill counters. It is a
-// shim over the prepared statement core.
-func (db *DB) ExplainAnalyzeContext(ctx context.Context, p *Plan, e Engine, opts ...ExecOption) (string, error) {
-	if err := ctx.Err(); err != nil {
-		return "", err
-	}
-	st, err := db.prepareFromPlan(p, e, opts)
-	if err != nil {
-		return "", err
-	}
-	defer st.Close()
-	return st.ExplainAnalyze(ctx)
-}
-
-// ExplainAnalyzeQuery runs a query text through the same serving path
-// as QueryContext — plan cache included — with per-operator
-// instrumentation, and renders the EXPLAIN ANALYZE tree(s). With
-// WithPlanCache the output is prefixed with a plan-cache line showing
-// whether this compilation was a hit and the cache's cumulative
-// counters (template_hits counts hits served to query texts differing
-// from the cached template's; invalidations counts entries of planners
-// that read statistics dropped after commits; epoch is the dataset
-// version served):
-//
-//	plan cache: hit hits=3 misses=1 template_hits=2 invalidations=0 epoch=2 size=1/64
-func (db *DB) ExplainAnalyzeQuery(ctx context.Context, query string, opts ...ExecOption) (string, error) {
-	st, err := db.Prepare(ctx, query, opts...)
-	if err != nil {
-		return "", err
-	}
-	defer st.Close()
-	var b strings.Builder
-	if st.cfg.planCache > 0 {
-		s := db.PlanCacheStats()
-		outcome := "miss"
-		if st.cacheHit {
-			outcome = "hit"
-		}
-		fmt.Fprintf(&b, "plan cache: %s hits=%d misses=%d template_hits=%d invalidations=%d epoch=%d size=%d/%d\n",
-			outcome, s.Hits, s.Misses, s.TemplateHits, s.Invalidations, st.Epoch(), s.Len, s.Cap)
-	}
-	tree, err := st.ExplainAnalyze(ctx)
-	if err != nil {
-		return "", err
-	}
-	b.WriteString(tree)
-	return b.String(), nil
 }

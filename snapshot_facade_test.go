@@ -2,6 +2,7 @@ package hsp
 
 import (
 	"bytes"
+	"context"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -21,11 +22,11 @@ func TestSnapshotFacadeRoundTrip(t *testing.T) {
 	if loaded.NumTriples() != db.NumTriples() {
 		t.Fatalf("triples = %d, want %d", loaded.NumTriples(), db.NumTriples())
 	}
-	a, err := db.Query(sampleQuery)
+	a, err := db.QueryContext(context.Background(), sampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := loaded.Query(sampleQuery)
+	b, err := loaded.QueryContext(context.Background(), sampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +78,12 @@ func TestConcurrentQueries(t *testing.T) {
 					errs <- err
 					return
 				}
-				res, err := db.Execute(plan, engine)
+				st, err := db.PreparePlan(context.Background(), plan, engine)
+				if err != nil {
+					errs <- err
+					return
+				}
+				res, err := st.Query(context.Background())
 				if err != nil {
 					errs <- err
 					return

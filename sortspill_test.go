@@ -75,7 +75,7 @@ func TestStreamOrderBySpillSuites(t *testing.T) {
 		for _, q := range s.queries {
 			for _, e := range []Engine{EngineMonet, EngineRDF3X} {
 				t.Run(fmt.Sprintf("%s/%s/%s", s.name, q.Name, e), func(t *testing.T) {
-					base, err := s.db.Query(q.Text, WithEngine(e))
+					base, err := s.db.QueryContext(context.Background(), q.Text, WithEngine(e))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -87,7 +87,7 @@ func TestStreamOrderBySpillSuites(t *testing.T) {
 					// Reference: the materialised path (engine run +
 					// stable in-memory SortBy), untouched by the spill
 					// machinery.
-					ref, err := s.db.Query(ordered, WithEngine(e))
+					ref, err := s.db.QueryContext(context.Background(), ordered, WithEngine(e))
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -128,11 +128,11 @@ func TestStreamOrderByUnionMerge(t *testing.T) {
 		`SELECT ?j WHERE { { ?j <http://purl.org/dc/terms/issued> "1940" } UNION { ?j <http://purl.org/dc/terms/issued> "1941" } } ORDER BY ?j OFFSET 1`,
 	}
 	for _, text := range queries {
-		res, err := db.Query(text)
+		res, err := db.QueryContext(context.Background(), text)
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
-		rows, err := db.Stream(text, WithSortSpill(testSortBudget()))
+		rows, err := db.StreamContext(context.Background(), text, WithSortSpill(testSortBudget()))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -157,7 +157,7 @@ WHERE { ?doc dcterms:issued ?yr .
         ?doc dc:title ?title }
 ORDER BY ?yr`
 	ctx := context.Background()
-	out, err := db.ExplainAnalyzeQuery(ctx, ordered, WithSortSpill(4096), WithTempDir(t.TempDir()))
+	out, err := prepare(t, db, ordered, WithSortSpill(4096), WithTempDir(t.TempDir())).ExplainAnalyze(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ ORDER BY ?yr`
 		t.Fatalf("EXPLAIN ANALYZE sort line incomplete:\n%s", out)
 	}
 
-	out, err = db.ExplainAnalyzeQuery(ctx, ordered+"\nLIMIT 5", WithSortSpill(4096))
+	out, err = prepare(t, db, ordered+"\nLIMIT 5", WithSortSpill(4096)).ExplainAnalyze(ctx)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,7 +236,7 @@ func TestRowsCloseIdempotentFirstError(t *testing.T) {
 	db := openSample(t)
 
 	// Clean stream: exhaust, then Close twice.
-	rows, err := db.Stream(sampleQuery)
+	rows, err := db.StreamContext(context.Background(), sampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -258,7 +258,7 @@ func TestRowsCloseIdempotentFirstError(t *testing.T) {
 		t.Fatalf("pre-cancelled StreamContext = (%v, %v), want context.Canceled", pre, err)
 	}
 	ctx2, cancel2 := context.WithCancel(context.Background())
-	rows, err = db.Stream(sampleQuery) // fresh stream to cancel mid-flight
+	rows, err = db.StreamContext(context.Background(), sampleQuery) // fresh stream to cancel mid-flight
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -6,8 +6,8 @@
 // execution with hsp.Bind; re-executing a prepared statement with new
 // bindings re-parses and re-plans nothing — the bind step substitutes
 // dictionary-encoded IDs into the compiled operator tree when the run
-// opens. Every legacy facade verb (Query, Stream, Ask, Execute,
-// ExplainAnalyze and their Context variants) is a thin shim over
+// opens. db.PreparePlan is the second front door, for a plan built with
+// db.Plan; QueryContext and StreamContext are one-shot conveniences over
 // Prepare + Stmt.
 
 package hsp
@@ -99,11 +99,17 @@ func (db *DB) Prepare(ctx context.Context, query string, opts ...ExecOption) (*S
 	return &Stmt{db: db, state: state, eng: eng, cfg: cfg, pq: pq, cacheHit: hit, query: query}, nil
 }
 
-// prepareFromPlan wraps an already-planned query as a statement — the
-// shared lowering of the plan-based legacy verbs (Execute, StreamPlan,
-// ExplainAnalyze), so they run through the same core as Prepare. The
-// statement inherits the plan's snapshot pin.
-func (db *DB) prepareFromPlan(p *Plan, e Engine, opts []ExecOption) (*Stmt, error) {
+// PreparePlan compiles an already-built plan for engine e and returns a
+// statement over it, so a plan from Plan runs through the same Stmt
+// verbs as a prepared query text. The statement inherits the plan's
+// snapshot pin. The plan already fixes planner and rewrites, so
+// WithPlanner, WithEngine, WithRewrites and WithPlanCache are ignored;
+// the run-time options apply. A context already cancelled on entry
+// returns its error without doing anything.
+func (db *DB) PreparePlan(ctx context.Context, p *Plan, e Engine, opts ...ExecOption) (*Stmt, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	cq, err := compilePlan(p, e)
 	if err != nil {
 		return nil, err
@@ -113,7 +119,7 @@ func (db *DB) prepareFromPlan(p *Plan, e Engine, opts []ExecOption) (*Stmt, erro
 		return nil, err
 	}
 	cfg := configOf(opts)
-	cfg.engine = e
+	cfg.engine, cfg.planCache = e, 0
 	pq := &preparedQuery{cq: cq, params: p.head.Params()}
 	return &Stmt{db: db, state: p.state, eng: eng, cfg: cfg, pq: pq, query: p.head.String()}, nil
 }
@@ -375,7 +381,14 @@ func (s *Stmt) Ask(ctx context.Context, binds ...Binding) (bool, error) {
 // ANALYZE tree(s): observed row counts, wall times, hash-join build
 // sizes, and the sort operator's spill counters for ORDER BY plans.
 // When the algebraic rewrite pass changed the query, one "rewrite:"
-// line per applied rule precedes the trees.
+// line per applied rule precedes the trees. A statement prepared with
+// WithPlanCache starts with a plan-cache line: whether its Prepare hit
+// the cache, the cache's cumulative counters (template_hits counts hits
+// served to query texts differing from the cached template's;
+// invalidations counts entries of planners that read statistics dropped
+// after commits), the statement's epoch and the occupancy:
+//
+//	plan cache: hit hits=3 misses=1 template_hits=2 invalidations=0 epoch=2 size=1/64
 func (s *Stmt) ExplainAnalyze(ctx context.Context, binds ...Binding) (string, error) {
 	if err := s.guard(ctx); err != nil {
 		return "", err
@@ -391,6 +404,15 @@ func (s *Stmt) ExplainAnalyze(ctx context.Context, binds ...Binding) (string, er
 	eopts := s.options()
 	eopts.Binds = eb
 	var b strings.Builder
+	if s.cfg.planCache > 0 {
+		st := s.db.PlanCacheStats()
+		outcome := "miss"
+		if s.cacheHit {
+			outcome = "hit"
+		}
+		fmt.Fprintf(&b, "plan cache: %s hits=%d misses=%d template_hits=%d invalidations=%d epoch=%d size=%d/%d\n",
+			outcome, st.Hits, st.Misses, st.TemplateHits, st.Invalidations, s.Epoch(), st.Len, st.Cap)
+	}
 	for _, n := range cq.rewrites {
 		fmt.Fprintf(&b, "rewrite: %s\n", n)
 	}

@@ -3,6 +3,7 @@ package hsp
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -118,83 +119,71 @@ func TestPreparedBindKinds(t *testing.T) {
 	}
 }
 
-// TestStmtConformance: every legacy verb and its Context twin produce
-// identical results and errors to the equivalent Prepare+Stmt call,
-// across the SP²Bench workload × both engines × sequential and
+// TestStmtConformance: the two front doors agree. A query prepared
+// from its text and the same query planned with Plan and prepared with
+// PreparePlan produce identical results, streams and errors, across the
+// SP²Bench workload × every planner × both engines × sequential and
 // parallel execution.
 func TestStmtConformance(t *testing.T) {
-	db := GenerateSP2Bench(20000, 1)
+	db := GenerateSP2Bench(10000, 1)
 	ctx := context.Background()
-	for _, engine := range []Engine{EngineMonet, EngineRDF3X} {
-		for _, par := range []int{1, 4} {
-			opts := []ExecOption{WithEngine(engine), WithParallelism(par)}
-			for _, q := range sp2bench.Queries() {
-				st, err := db.Prepare(ctx, q.Text, opts...)
-				if err != nil {
-					t.Fatalf("%s/%s/p%d: Prepare: %v", q.Name, engine, par, err)
+	for _, planner := range []Planner{PlannerHSP, PlannerCDP, PlannerSQL} {
+		for _, engine := range []Engine{EngineMonet, EngineRDF3X} {
+			for _, par := range []int{1, 4} {
+				for _, q := range sp2bench.Queries() {
+					name := fmt.Sprintf("%s/%s/%s/p%d", q.Name, planner, engine, par)
+					text, prepErr := db.Prepare(ctx, q.Text, WithPlanner(planner), WithEngine(engine), WithParallelism(par))
+					plan, planErr := db.Plan(q.Text, planner)
+					if prepErr != nil || planErr != nil {
+						// A refusal (CDP on SP4a's cross product) must be the same refusal.
+						if fmt.Sprint(prepErr) != fmt.Sprint(planErr) {
+							t.Errorf("%s: error mismatch: Prepare %v vs Plan %v", name, prepErr, planErr)
+						}
+						continue
+					}
+					planned, err := db.PreparePlan(ctx, plan, engine, WithParallelism(par))
+					if err != nil {
+						t.Fatalf("%s: PreparePlan: %v", name, err)
+					}
+					want, err := text.Query(ctx)
+					if err != nil {
+						t.Fatalf("%s: Prepare.Query: %v", name, err)
+					}
+					if got, err := planned.Query(ctx); err != nil || got.String() != want.String() {
+						t.Errorf("%s: PreparePlan.Query differs (err=%v)", name, err)
+					}
+					wantStream := drainAll(t, func() (*Rows, error) { return text.Stream(ctx) })
+					if got := drainAll(t, func() (*Rows, error) { return planned.Stream(ctx) }); got != wantStream {
+						t.Errorf("%s: PreparePlan.Stream differs from Prepare.Stream", name)
+					}
+					if out, err := planned.ExplainAnalyze(ctx); err != nil || !strings.Contains(out, "rows=") {
+						t.Errorf("%s: ExplainAnalyze: %v", name, err)
+					}
+					text.Close()
+					planned.Close()
 				}
-				want, err := st.Query(ctx)
-				if err != nil {
-					t.Fatalf("%s/%s/p%d: Stmt.Query: %v", q.Name, engine, par, err)
-				}
-
-				// Query / QueryContext.
-				if got, err := db.Query(q.Text, opts...); err != nil || got.String() != want.String() {
-					t.Errorf("%s/%s/p%d: Query differs (err=%v)", q.Name, engine, par, err)
-				}
-				if got, err := db.QueryContext(ctx, q.Text, opts...); err != nil || got.String() != want.String() {
-					t.Errorf("%s/%s/p%d: QueryContext differs (err=%v)", q.Name, engine, par, err)
-				}
-
-				// Stream / StreamContext vs Stmt.Stream.
-				wantStream := drainAll(t, func() (*Rows, error) { return st.Stream(ctx) })
-				if got := drainAll(t, func() (*Rows, error) { return db.Stream(q.Text, opts...) }); got != wantStream {
-					t.Errorf("%s/%s/p%d: Stream differs from Stmt.Stream", q.Name, engine, par)
-				}
-				if got := drainAll(t, func() (*Rows, error) { return db.StreamContext(ctx, q.Text, opts...) }); got != wantStream {
-					t.Errorf("%s/%s/p%d: StreamContext differs", q.Name, engine, par)
-				}
-
-				// Execute / ExecuteContext (plan-based) against the same engine.
-				plan, err := db.Plan(q.Text, PlannerHSP)
-				if err != nil {
-					t.Fatalf("%s: Plan: %v", q.Name, err)
-				}
-				if got, err := db.Execute(plan, engine, WithParallelism(par)); err != nil || got.String() != want.String() {
-					t.Errorf("%s/%s/p%d: Execute differs (err=%v)", q.Name, engine, par, err)
-				}
-				if got, err := db.ExecuteContext(ctx, plan, engine, WithParallelism(par)); err != nil || got.String() != want.String() {
-					t.Errorf("%s/%s/p%d: ExecuteContext differs (err=%v)", q.Name, engine, par, err)
-				}
-
-				// ExplainAnalyze family still executes and reports metrics.
-				if out, err := db.ExplainAnalyze(plan, engine, WithParallelism(par)); err != nil || !strings.Contains(out, "rows=") {
-					t.Errorf("%s/%s/p%d: ExplainAnalyze: %v", q.Name, engine, par, err)
-				}
-				st.Close()
 			}
 		}
 	}
 
-	// Errors surface identically through legacy verbs and Prepare.
-	if _, err := db.Query("not a query"); err == nil {
-		t.Error("Query accepted a bad query")
+	// Errors surface identically through both doors: planning errors at
+	// Plan and Prepare, engine errors at PreparePlan and Prepare.
+	for _, bad := range []string{"not a query", "SELECT ?x { }"} {
+		_, planErr := db.Plan(bad, PlannerHSP)
+		_, prepErr := db.Prepare(ctx, bad)
+		if planErr == nil || prepErr == nil || planErr.Error() != prepErr.Error() {
+			t.Errorf("%q: error mismatch: Plan %v vs Prepare %v", bad, planErr, prepErr)
+		}
 	}
-	if _, err := db.Prepare(ctx, "not a query"); err == nil {
-		t.Error("Prepare accepted a bad query")
+	plan, err := db.Plan(sp2bench.SP1, PlannerHSP)
+	if err != nil {
+		t.Fatal(err)
 	}
-	legacyErr := errStr(func() error { _, err := db.QueryContext(ctx, "SELECT ?x { }"); return err })
-	stmtErr := errStr(func() error { _, err := db.Prepare(ctx, "SELECT ?x { }"); return err })
-	if legacyErr != stmtErr {
-		t.Errorf("error mismatch: legacy %q vs stmt %q", legacyErr, stmtErr)
+	_, planErr := db.PreparePlan(ctx, plan, "nope")
+	_, prepErr := db.Prepare(ctx, sp2bench.SP1, WithEngine("nope"))
+	if planErr == nil || fmt.Sprint(planErr) != fmt.Sprint(prepErr) {
+		t.Errorf("unknown engine: PreparePlan %v vs Prepare %v", planErr, prepErr)
 	}
-}
-
-func errStr(f func() error) string {
-	if err := f(); err != nil {
-		return err.Error()
-	}
-	return ""
 }
 
 // drainAll streams a query to completion and renders sorted lines, for
@@ -238,11 +227,7 @@ func TestStmtAsk(t *testing.T) {
 	if ok, err := st.Ask(ctx, Bind("t", Literal("missing"))); err != nil || ok {
 		t.Errorf("Ask false case: ok=%v err=%v", ok, err)
 	}
-	// Conformance with the legacy verb.
-	if ok, err := db.AskContext(ctx, `ASK { ?j <http://purl.org/dc/elements/1.1/title> "Journal 1 (1940)" }`); err != nil || !ok {
-		t.Errorf("AskContext: ok=%v err=%v", ok, err)
-	}
-	// Ask on a SELECT statement errors, via both paths.
+	// Ask on a SELECT statement errors.
 	sel, err := db.Prepare(ctx, sampleQuery)
 	if err != nil {
 		t.Fatal(err)
@@ -250,9 +235,6 @@ func TestStmtAsk(t *testing.T) {
 	defer sel.Close()
 	if _, err := sel.Ask(ctx); err == nil {
 		t.Error("Stmt.Ask accepted a SELECT")
-	}
-	if _, err := db.AskContext(ctx, sampleQuery); err == nil {
-		t.Error("AskContext accepted a SELECT")
 	}
 }
 
@@ -385,9 +367,9 @@ func TestTemplateCacheHits(t *testing.T) {
 		t.Errorf("bound re-execution consulted the planner: %+v vs %+v", s3, s2)
 	}
 	// The explain line reports the counters.
-	out, err := db.ExplainAnalyzeQuery(ctx, variants[1], WithPlanCache(16))
+	out, err := prepare(t, db, variants[1], WithPlanCache(16)).ExplainAnalyze(ctx)
 	if err != nil || !strings.Contains(out, "template_hits=") {
-		t.Errorf("ExplainAnalyzeQuery: %v\n%s", err, out)
+		t.Errorf("ExplainAnalyze: %v\n%s", err, out)
 	}
 }
 
@@ -418,7 +400,7 @@ func TestMetricsSink(t *testing.T) {
 	}
 
 	got = nil
-	rows, err := db.Stream(sampleQuery, WithMetricsSink(sink))
+	rows, err := db.StreamContext(ctx, sampleQuery, WithMetricsSink(sink))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -436,7 +418,7 @@ func TestMetricsSink(t *testing.T) {
 
 	// Without the option, nothing is emitted and runs stay uninstrumented.
 	got = nil
-	if _, err := db.Query(sampleQuery); err != nil {
+	if _, err := db.QueryContext(ctx, sampleQuery); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 0 {

@@ -67,8 +67,7 @@ type OpStats struct {
 // ANALYZE prints. The option implies per-operator instrumentation, so
 // runs pay the same overhead as EXPLAIN ANALYZE; the sink is called
 // from the goroutine that closes the run and must not block. It applies
-// to Query, Stream and their Context variants, and to Stmt.Query and
-// Stmt.Stream.
+// to Stmt.Query and Stmt.Stream.
 func WithMetricsSink(sink func(OpStats)) ExecOption {
 	return func(c *execConfig) { c.metricsSink = sink }
 }
@@ -131,11 +130,11 @@ func WithExchangeThreshold(rows int) ExecOption {
 // placeholder spelling) share one entry — PlanCacheStats.TemplateHits
 // counts the hits byte-exact text keying would have missed. The cache
 // is created on first use with capacity n; later calls reuse the
-// existing cache whatever their n. Only the query-text entry points
-// (Prepare, Query, QueryContext, Stream, StreamContext, Ask,
-// AskContext, ExplainAnalyzeQuery) consult the cache; plan-based entry
-// points ignore this option. Inspect occupancy and hit rates with
-// PlanCacheStats.
+// existing cache whatever their n. Only Prepare (and QueryContext and
+// StreamContext over it) consults the cache; PreparePlan ignores this
+// option. A statement prepared with it prints its cache outcome as the
+// first line of Stmt.ExplainAnalyze. Inspect occupancy and hit rates
+// with PlanCacheStats.
 func WithPlanCache(n int) ExecOption {
 	return func(c *execConfig) { c.planCache = n }
 }
@@ -147,8 +146,8 @@ func WithPlanCache(n int) ExecOption {
 // memory. Queries with a LIMIT whose OFFSET+LIMIT prefix fits in the
 // budget take a top-k short circuit that never touches disk. Values
 // <= 0 select the default budget (64 MiB). The budget applies per
-// query run; materialised entry points (Query, Execute) are
-// unaffected — they buffer the whole result by definition.
+// query run; Stmt.Query is unaffected — it buffers the whole result by
+// definition.
 func WithSortSpill(budgetBytes int) ExecOption {
 	return func(c *execConfig) { c.sortBudget = int64(budgetBytes) }
 }
@@ -187,12 +186,10 @@ const (
 )
 
 // WithRewrites restricts the algebraic rewrite pass to exactly the
-// given rules for the query-text entry points (Prepare, Query, Stream,
-// Ask and their Context variants) and the plan cache key. Without this
+// given rules for Prepare, Plan and the plan cache key. Without this
 // option every rule runs; WithRewrites() with no arguments disables
 // the whole pass — the escape hatch for comparing against un-rewritten
-// plans (see hsp-bench -rewrite) and the oracle side of the
-// differential equivalence tests. Rewrites never change results, only
+// plans and the oracle side of the differential equivalence tests. Rewrites never change results, only
 // plans: every rule is proven against the un-rewritten engine by the
 // equivalence harness. Unknown rule names are ignored. The applied
 // rewrites of a plan are observable via Plan.RewriteNotes and the
@@ -214,18 +211,16 @@ func WithRewrites(rules ...RewriteRule) ExecOption {
 	}
 }
 
-// WithPlanner selects the query optimiser for the query-text entry
-// points (Query, Stream, Ask and their Context variants), which default
-// to PlannerHSP. Plan-based entry points ignore this option — the plan
-// already fixes the planner.
+// WithPlanner selects the query optimiser for Prepare, which defaults
+// to PlannerHSP. PreparePlan ignores this option — the plan already
+// fixes the planner.
 func WithPlanner(p Planner) ExecOption {
 	return func(c *execConfig) { c.planner = p }
 }
 
-// WithEngine selects the storage substrate for the query-text entry
-// points (Query, Stream, Ask and their Context variants), which default
-// to EngineMonet. Plan-based entry points ignore this option — the
-// engine is an explicit argument there.
+// WithEngine selects the storage substrate for Prepare, which defaults
+// to EngineMonet. PreparePlan ignores this option — the engine is an
+// explicit argument there.
 func WithEngine(e Engine) ExecOption {
 	return func(c *execConfig) { c.engine = e }
 }
@@ -259,16 +254,12 @@ func (c execConfig) execOptions() exec.Options {
 	}
 }
 
-func resolveOpts(opts []ExecOption) exec.Options {
-	return configOf(opts).execOptions()
-}
-
 // Rows is a streaming query result: rows are pulled one at a time from
 // the running operator tree instead of being materialised, so results
 // never have to fit in memory. The iteration pattern follows
 // database/sql:
 //
-//	rows, err := db.Stream(query)
+//	rows, err := stmt.Stream(ctx)
 //	if err != nil { ... }
 //	defer rows.Close()
 //	for rows.Next() {
@@ -290,9 +281,9 @@ func resolveOpts(opts []ExecOption) exec.Options {
 // top-k heap that never touches disk. A Rows is not safe for
 // concurrent use. Close releases any worker goroutines a parallel run
 // spawned and deletes any spilled temp files; abandoning an exhausted
-// Rows without Close is harmless. A Rows obtained from StreamContext
-// or StreamPlanContext additionally stops when its context is
-// cancelled: Next returns false and Err returns the context's error.
+// Rows without Close is harmless. A Rows stops when the context it was
+// opened with is cancelled: Next returns false and Err returns the
+// context's error.
 type Rows struct {
 	db   *DB
 	vars []string
@@ -335,50 +326,15 @@ type Rows struct {
 	closed bool
 }
 
-// Stream runs a query with the default planner and engine (HSP on the
-// column substrate, overridable with WithPlanner/WithEngine) and
-// returns its result as a row stream.
-func (db *DB) Stream(query string, opts ...ExecOption) (*Rows, error) {
-	//hsp:lint-allow ctxflow documented context-less compatibility verb; StreamContext is the cancellable path
-	return db.StreamContext(context.Background(), query, opts...)
-}
-
-// StreamContext is Stream bound to a caller context: cancelling ctx (or
-// its deadline firing) aborts the stream mid-pipeline — sequential and
+// StreamContext prepares a query (HSP on the column substrate unless
+// WithPlanner/WithEngine say otherwise) and returns its result as a row
+// stream: Prepare + Stmt.Stream in one call. Cancelling ctx (or its
+// deadline firing) aborts the stream mid-pipeline — sequential and
 // morsel-parallel runs alike — at the next operator pull point or
 // morsel boundary, releases every worker goroutine, and makes Err
-// return the context's error. A context already cancelled on entry
-// returns its error without planning or executing anything. With
-// WithPlanCache, repeated queries skip parsing, planning and
-// compilation via the DB's shared plan cache.
-// It is a shim over Prepare + Stmt.Stream — the single execution core;
-// use Prepare directly to also skip re-parsing on repeated executions
-// and to bind $name parameters.
+// return the context's error.
 func (db *DB) StreamContext(ctx context.Context, query string, opts ...ExecOption) (*Rows, error) {
 	st, err := db.Prepare(ctx, query, opts...)
-	if err != nil {
-		return nil, err
-	}
-	defer st.Close()
-	return st.Stream(ctx)
-}
-
-// StreamPlan runs a plan on the chosen engine and returns its result as
-// a row stream. UNION branches are streamed in sequence; DISTINCT
-// deduplicates on the fly; OFFSET and LIMIT are applied to the stream.
-func (db *DB) StreamPlan(p *Plan, e Engine, opts ...ExecOption) (*Rows, error) {
-	//hsp:lint-allow ctxflow documented context-less compatibility verb; StreamPlanContext is the cancellable path
-	return db.StreamPlanContext(context.Background(), p, e, opts...)
-}
-
-// StreamPlanContext is StreamPlan bound to a caller context; see
-// StreamContext for the cancellation contract. It is a shim over the
-// prepared statement core (the plan is wrapped, not re-planned).
-func (db *DB) StreamPlanContext(ctx context.Context, p *Plan, e Engine, opts ...ExecOption) (*Rows, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	st, err := db.prepareFromPlan(p, e, opts)
 	if err != nil {
 		return nil, err
 	}

@@ -1,6 +1,7 @@
 package hsp
 
 import (
+	"context"
 	"maps"
 	"reflect"
 	"runtime"
@@ -49,7 +50,7 @@ func streamedLines(t *testing.T, rows *Rows) []string {
 }
 
 // TestStreamMatchesQuerySuites is the public acceptance check:
-// db.Stream returns the same row multiset as db.Query for every query
+// StreamContext returns the same row multiset as QueryContext for every query
 // of the SP2Bench and YAGO suites, sequentially and in parallel.
 func TestStreamMatchesQuerySuites(t *testing.T) {
 	type suite struct {
@@ -64,13 +65,13 @@ func TestStreamMatchesQuerySuites(t *testing.T) {
 	for _, s := range suites {
 		for _, q := range s.queries {
 			t.Run(s.name+"/"+q.Name, func(t *testing.T) {
-				res, err := s.db.Query(q.Text)
+				res, err := s.db.QueryContext(context.Background(), q.Text)
 				if err != nil {
 					t.Fatal(err)
 				}
 				want := materialisedLines(t, res)
 
-				rows, err := s.db.Stream(q.Text)
+				rows, err := s.db.StreamContext(context.Background(), q.Text)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -78,7 +79,7 @@ func TestStreamMatchesQuerySuites(t *testing.T) {
 					t.Errorf("streamed rows differ from materialised (%d vs %d rows)", len(got), len(want))
 				}
 
-				rows, err = s.db.Stream(q.Text, WithParallelism(4))
+				rows, err = s.db.StreamContext(context.Background(), q.Text, WithParallelism(4))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -114,7 +115,7 @@ func TestStreamPlanAllPlannersEngines(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, e := range []Engine{EngineMonet, EngineRDF3X} {
-			rows, err := db.StreamPlan(p, e, WithParallelism(3))
+			rows, err := preparePlan(t, db, p, e, WithParallelism(3)).Stream(context.Background())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -148,11 +149,11 @@ func TestStreamModifiers(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", text, err)
 		}
-		res, err := db.Execute(p, EngineMonet)
+		res, err := preparePlan(t, db, p, EngineMonet).Query(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := db.StreamPlan(p, EngineMonet)
+		rows, err := preparePlan(t, db, p, EngineMonet).Stream(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -171,7 +172,7 @@ func TestStreamEarlyCloseNoLeak(t *testing.T) {
 	text := sp2bench.Queries()[1].Text
 	before := runtime.NumGoroutine()
 	for i := 0; i < 10; i++ {
-		rows, err := db.Stream(text, WithParallelism(4))
+		rows, err := db.StreamContext(context.Background(), text, WithParallelism(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -202,7 +203,7 @@ func TestExplainAnalyzeFacade(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		out, err := db.ExplainAnalyze(p, EngineMonet, WithParallelism(2))
+		out, err := preparePlan(t, db, p, EngineMonet, WithParallelism(2)).ExplainAnalyze(context.Background())
 		if err != nil {
 			t.Fatalf("%s: %v", pl, err)
 		}
@@ -218,7 +219,7 @@ func TestExplainAnalyzeFacade(t *testing.T) {
 // one is exhausted.
 func TestStreamVarsAndReuse(t *testing.T) {
 	db := openSample(t)
-	rows, err := db.Stream(sampleQuery)
+	rows, err := db.StreamContext(context.Background(), sampleQuery)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -239,7 +240,7 @@ func TestStreamVarsAndReuse(t *testing.T) {
 	if n != 1 {
 		t.Fatalf("rows = %d, want 1", n)
 	}
-	res, err := db.Query(sampleQuery, WithParallelism(2))
+	res, err := db.QueryContext(context.Background(), sampleQuery, WithParallelism(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,11 +262,11 @@ PREFIX bench: <http://localhost/vocabulary/bench/>
 PREFIX swrc:  <http://swrc.ontoware.org/ontology#>
 SELECT ?a ?m
 WHERE { ?a rdf:type bench:Article . OPTIONAL { ?a swrc:month ?m } }`
-	res, err := db.Query(q)
+	res, err := db.QueryContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rows, err := db.Stream(q)
+	rows, err := db.StreamContext(context.Background(), q)
 	if err != nil {
 		t.Fatal(err)
 	}
